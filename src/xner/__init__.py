@@ -11,11 +11,9 @@ from xner.corpus import (  # noqa: F401
     CorpusStats,
     Document,
     Sentence,
-    Token,
     corpus_stats,
     load_corpus,
     segment,
-    tokenize,
 )
 from xner.errors import DataError  # noqa: F401
 from xner.gazetteer import (  # noqa: F401

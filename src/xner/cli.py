@@ -14,7 +14,7 @@ import os
 import sys
 
 from xner.corpus import iter_sentences, load_corpus, split_text
-from xner.errors import DataError, UsageError
+from xner.errors import DataError, UsageError, open_text
 from xner.evaluation import misclassification_rate, score, vocab_overlap
 from xner.gazetteer import TypeHierarchy, load_gazetteer, pre_annotate
 from xner.masker import MaskingConfig, build_vocabulary
@@ -156,7 +156,7 @@ def _cmd_extract(args) -> None:
         raise UsageError("--percent must be in [0, 100]")
     specialized = None
     if args.specialized and gazetteer is None:
-        with open(args.specialized, encoding="utf-8") as fh:
+        with open_text(args.specialized) as fh:
             specialized = [line.strip() for line in fh if line.strip()]
     try:
         groups = select_documents(
@@ -171,6 +171,8 @@ def _cmd_extract(args) -> None:
             seed=args.seed,
             workers=_workers(args),
         )
+    except DataError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -200,15 +202,13 @@ def _cmd_mask(args) -> None:
         ),
         args.vocab_size,
     )
-    lines = mask_documents(
+    lines, targets = mask_documents(
         load_corpus(args.input, args.format), cfg, vocabulary, _workers(args)
     )
-    targets = 0
     with open(args.output, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
-            targets += len(json.loads(line)["targets"])
     _log(f"wrote {len(lines)} examples to {args.output}")
     _emit({"strategy": args.strategy, "sentences": len(lines), "targets": targets})
 
@@ -262,7 +262,7 @@ def _cmd_overlap(args) -> None:
         ]
     stopwords = None
     if args.stopwords:
-        with open(args.stopwords, encoding="utf-8") as fh:
+        with open_text(args.stopwords) as fh:
             stopwords = [line.strip() for line in fh if line.strip()]
     if args.top_k < 1:
         raise UsageError("--top-k must be >= 1")
@@ -280,7 +280,7 @@ def _cmd_pre_annotate(args) -> None:
             tags, flags = pre_annotate(sentence, gazetteer, hierarchy)
             flagged += len(flags)
             for token, tag in zip(sentence.tokens, tags):
-                fh.write(f"{token.text} {tag}\n")
+                fh.write(f"{token} {tag}\n")
             fh.write("\n")
             sentences += 1
     _log(f"pre-annotated {sentences} sentences to {args.output}")

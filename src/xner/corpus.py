@@ -9,11 +9,12 @@ code points; no Unicode normalization is applied.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from xner.errors import DataError
+from xner.errors import DataError, open_text
 
 # Punctuation peeled off token edges; clitics split as their own tokens.
 SPLIT_PUNCT = frozenset(".,;:!?'\"()[]{}")
@@ -30,38 +31,8 @@ ABBREVIATIONS = frozenset({
     "sept.", "oct.", "nov.", "dec.",
 })
 
-_TERMINALS = frozenset(".!?")
-
-
-class Token:
-    """A single non-whitespace token, optionally carrying a hyperlink mark."""
-
-    __slots__ = ("text", "has_hyperlink")
-
-    def __init__(self, text: str, has_hyperlink: bool = False):
-        if not text:
-            raise ValueError("token text must be non-empty")
-        if any(c.isspace() for c in text):
-            raise ValueError(f"token text contains whitespace: {text!r}")
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "has_hyperlink", has_hyperlink)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Token is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Token)
-            and self.text == other.text
-            and self.has_hyperlink == other.has_hyperlink
-        )
-
-    def __hash__(self):
-        return hash((self.text, self.has_hyperlink))
-
-    def __repr__(self):
-        link = ", hyperlink" if self.has_hyperlink else ""
-        return f"Token({self.text!r}{link})"
+# A maximal run of . ! ? may end a sentence.
+_TERMINAL_RUN = re.compile("[.!?]+")
 
 
 @dataclass(frozen=True)
@@ -70,22 +41,27 @@ class Sentence:
 
     doc_id: str
     index: int
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
+    # Positions of hyperlinked tokens (e.g. Wikipedia anchor text).
+    links: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("sentence index must be non-negative")
         if not self.tokens:
             raise ValueError("sentence must contain at least one token")
+        check_tokens(self.tokens)
+        if self.links and (min(self.links) < 0 or max(self.links) >= len(self.tokens)):
+            raise ValueError(f"link positions out of range: {sorted(self.links)}")
 
     def __len__(self):
         return len(self.tokens)
 
     def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.tokens)
 
     def text(self) -> str:
-        return " ".join(t.text for t in self.tokens)
+        return " ".join(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -118,15 +94,31 @@ class CorpusStats:
         }
 
 
+def check_tokens(tokens: tuple[str, ...]) -> None:
+    """Raise unless every token is a non-empty str without whitespace.
+
+    One C-level join and split per sentence: the split yields exactly one
+    piece per token only when no token is empty or contains whitespace.
+    A non-str token raises TypeError.
+    """
+    if len(" ".join(tokens).split()) != len(tokens):
+        raise ValueError(f"tokens must be non-empty and whitespace-free: {tokens!r}")
+
+
 def split_text(text: str) -> list[str]:
-    """Split raw text into token strings.
+    """Split raw text into token strings. Empty input yields an empty list.
 
     Whitespace split, then leading/trailing punctuation peeled into
-    separate tokens and English clitics ('s, n't) split off.
+    separate tokens and English clitics ('s, n't) split off. A chunk with
+    no punctuation at its edges and no apostrophe is already one token.
     """
     out: list[str] = []
+    append = out.append
     for chunk in text.split():
-        _split_chunk(chunk, out)
+        if chunk[0] in SPLIT_PUNCT or chunk[-1] in SPLIT_PUNCT or "'" in chunk:
+            _split_chunk(chunk, out)
+        else:
+            append(chunk)
     return out
 
 
@@ -152,11 +144,6 @@ def _split_chunk(chunk: str, out: list[str]) -> None:
     out.extend(chunk[trail_start:])
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokenize raw text. Empty input yields an empty list."""
-    return [Token(t) for t in split_text(text)]
-
-
 def split_sentences(paragraph: str) -> list[str]:
     """Split a paragraph into sentence strings.
 
@@ -166,21 +153,13 @@ def split_sentences(paragraph: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(paragraph)
-    while i < n:
-        if paragraph[i] in _TERMINALS:
-            j = i + 1
-            while j < n and paragraph[j] in _TERMINALS:
-                j += 1
-            if _is_boundary(paragraph, i, j):
-                piece = paragraph[start:j].strip()
-                if piece:
-                    sentences.append(piece)
-                start = j
-            i = j
-        else:
-            i += 1
+    for run in _TERMINAL_RUN.finditer(paragraph):
+        i, j = run.span()
+        if _is_boundary(paragraph, i, j):
+            piece = paragraph[start:j].strip()
+            if piece:
+                sentences.append(piece)
+            start = j
     tail = paragraph[start:].strip()
     if tail:
         sentences.append(tail)
@@ -210,7 +189,7 @@ def segment(document: Document) -> list[Sentence]:
     index = 0
     for paragraph in document.paragraphs:
         for piece in split_sentences(paragraph):
-            tokens = tokenize(piece)
+            tokens = split_text(piece)
             if tokens:
                 sentences.append(Sentence(document.id, index, tuple(tokens)))
                 index += 1
@@ -259,7 +238,7 @@ def load_corpus(path, format: str = "plain", domain: str = "") -> Iterator[Docum
 def _load_plain(path: Path, domain: str) -> Iterator[Document]:
     paragraphs: list[str] = []
     count = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line.strip():
@@ -273,7 +252,7 @@ def _load_plain(path: Path, domain: str) -> Iterator[Document]:
 
 
 def _load_jsonl(path: Path) -> Iterator[Document]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -286,19 +265,3 @@ def _load_jsonl(path: Path) -> Iterator[Document]:
             paragraphs = tuple(p for p in str(record["text"]).split("\n") if p.strip())
             yield Document(str(record["id"]), str(record.get("domain", "")), paragraphs)
 
-
-def write_sentence_corpus(sentences: Iterable[Sentence], fh) -> int:
-    """Write sentences as plain text, one per line, blank line between documents.
-
-    Returns the number of sentences written.
-    """
-    last_doc = None
-    written = 0
-    for sentence in sentences:
-        if last_doc is not None and sentence.doc_id != last_doc:
-            fh.write("\n")
-        fh.write(sentence.text())
-        fh.write("\n")
-        last_doc = sentence.doc_id
-        written += 1
-    return written

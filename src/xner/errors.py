@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the UTF-8 reader that reports bad bytes as data errors."""
+
+from contextlib import contextmanager
 
 
 class DataError(ValueError):
@@ -11,3 +13,21 @@ class DataError(ValueError):
 
 class UsageError(ValueError):
     """Invalid configuration or command-line usage."""
+
+
+@contextmanager
+def open_text(path):
+    """Open path for reading as UTF-8 text; invalid UTF-8 raises
+    DataError("path:line: invalid UTF-8") and costs the read loop nothing."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # The text reader decodes ahead in blocks, so find the line in bytes.
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise DataError(f"{path}:{lineno}: invalid UTF-8") from None

@@ -97,7 +97,7 @@ def _check_alignment(
             f"gold has {len(gold)} sentences but pred has {len(pred)}"
         )
     for i, (g, p) in enumerate(zip(gold, pred)):
-        if g.texts() != p.texts():
+        if g.tokens != p.tokens:
             raise DataError(f"token mismatch at sentence {i}")
 
 

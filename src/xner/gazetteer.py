@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from xner.corpus import Sentence, split_text
-from xner.errors import DataError
+from xner.errors import DataError, open_text
 
 _SOURCES = frozenset({"gazetteer", "gold", "hyperlink", "external"})
 
@@ -71,7 +71,7 @@ class TypeHierarchy:
     def load(cls, path) -> "TypeHierarchy":
         """Load a TSV of "child<TAB>parent" rows."""
         parent_of = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line.strip():
@@ -141,7 +141,7 @@ def load_gazetteer(path, specialized_path=None) -> Gazetteer:
     domain-specialized types.
     """
     entries: dict[tuple[str, ...], set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -155,7 +155,7 @@ def load_gazetteer(path, specialized_path=None) -> Gazetteer:
             entries.setdefault(surface, set()).add(parts[1].strip())
     specialized: list[str] = []
     if specialized_path is not None:
-        with open(specialized_path, encoding="utf-8") as fh:
+        with open_text(specialized_path) as fh:
             specialized = [line.strip() for line in fh if line.strip()]
     return Gazetteer(entries, specialized)
 
@@ -199,7 +199,7 @@ def find_mentions(
     advances past it, so an inner entity never survives inside a larger
     span ("United Socialist Party of Venezuela" suppresses "Venezuela").
     """
-    texts = sentence.texts()
+    texts = sentence.tokens
     mentions = []
     i = 0
     n = len(texts)
@@ -240,17 +240,13 @@ def pre_annotate(
 ) -> tuple[list[str], set[int]]:
     """Machine pre-annotation: BIO tags plus positions needing human review.
 
-    Review flags mark hyperlinked tokens not covered by any mention;
-    hyperlinked tokens are likely entities, so an unmatched one deserves
-    annotator attention.
+    Review flags mark hyperlinked positions (sentence.links) not covered
+    by any mention; hyperlinked tokens are likely entities, so an
+    unmatched one deserves annotator attention.
     """
     mentions = find_mentions(sentence, gazetteer, hierarchy)
     tags = mentions_to_bio(mentions, len(sentence))
-    covered = set()
+    flags = set(sentence.links)
     for m in mentions:
-        covered.update(range(m.start, m.end))
-    flags = {
-        i for i, token in enumerate(sentence.tokens)
-        if token.has_hyperlink and i not in covered
-    }
+        flags.difference_update(range(m.start, m.end))
     return tags, flags

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from xner.corpus import Sentence, Token
+from xner.corpus import Sentence
 from xner.seeding import stable_hash
 
 _STRATEGIES = ("token", "span")
@@ -57,7 +57,7 @@ class MaskTarget:
 class MaskedExample:
     doc_id: str
     sentence_index: int
-    original_tokens: tuple[Token, ...]
+    original_tokens: tuple[str, ...]
     output_tokens: tuple[str, ...]
     targets: tuple[MaskTarget, ...]
 
@@ -92,17 +92,6 @@ def select_mask_indices(
     if length < 2:
         raise ValueError(f"sentence length must be >= 2, got {length}")
     return set(rng.sample(range(length), mask_budget(length, cfg.mask_rate)))
-
-
-def _runs(indices: set[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive indices as inclusive (lo, hi) pairs."""
-    runs = []
-    for i in sorted(indices):
-        if runs and i == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], i)
-        else:
-            runs.append((i, i))
-    return runs
 
 
 def spanify(masked: Iterable[int], length: int) -> set[int]:
@@ -147,7 +136,7 @@ def spanify(masked: Iterable[int], length: int) -> set[int]:
 
 
 def apply_replacements(
-    tokens: Sequence[Token],
+    tokens: Sequence[str],
     indices: Iterable[int],
     cfg: MaskingConfig,
     rng: random.Random,
@@ -163,12 +152,12 @@ def apply_replacements(
     """
     if cfg.random_token_prob > 0 and not vocabulary:
         raise ValueError("non-empty vocabulary required when random_token_prob > 0")
-    output = [t.text for t in tokens]
+    output = list(tokens)
     targets = []
     for position in sorted(set(indices)):
         if not 0 <= position < len(tokens):
             raise ValueError(f"target position {position} out of range")
-        original = tokens[position].text
+        original = tokens[position]
         roll = rng.random()
         if roll < cfg.mask_token_prob:
             kind = "mask"

@@ -10,14 +10,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from xner.corpus import Token
-from xner.errors import DataError
+from xner.corpus import check_tokens
+from xner.errors import DataError, open_text
 from xner.gazetteer import EntityMention
 
 
 @dataclass(frozen=True)
 class LabeledSentence:
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     tags: tuple[str, ...]
 
     def __post_init__(self):
@@ -25,6 +25,7 @@ class LabeledSentence:
             raise ValueError(
                 f"{len(self.tokens)} tokens but {len(self.tags)} tags"
             )
+        check_tokens(self.tokens)
         bad = validate_bio(self.tags)
         if bad:
             raise ValueError(f"invalid BIO tags at positions {bad}: {self.tags}")
@@ -33,7 +34,7 @@ class LabeledSentence:
         return len(self.tokens)
 
     def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,11 @@ def parse_conll(path) -> list[LabeledSentence]:
     """Parse a CoNLL file: one "token tag" (space or tab) line per token,
     blank line between sentences, -DOCSTART- lines skipped."""
     sentences: list[LabeledSentence] = []
-    tokens: list[Token] = []
+    tokens: list[str] = []
     tags: list[str] = []
     start_line = 1
 
-    def flush(lineno):
+    def flush():
         if tokens:
             bad = validate_bio(tags)
             if bad:
@@ -107,25 +108,23 @@ def parse_conll(path) -> list[LabeledSentence]:
         tokens.clear()
         tags.clear()
 
-    with open(path, encoding="utf-8") as fh:
-        lineno = 0
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush(lineno)
-                start_line = lineno + 1
-                continue
-            if line.startswith("-DOCSTART-"):
-                start_line = lineno + 1
-                continue
             parts = line.split()
-            if len(parts) != 2:
+            if not parts:
+                flush()
+                start_line = lineno + 1
+            elif line.startswith("-DOCSTART-"):
+                start_line = lineno + 1
+            elif len(parts) == 2:
+                if not tokens:
+                    start_line = lineno
+                tokens.append(parts[0])
+                tags.append(parts[1])
+            else:
+                line = line.rstrip("\n")
                 raise DataError(f"{path}:{lineno}: expected 'token tag', got {line!r}")
-            if not tokens:
-                start_line = lineno
-            tokens.append(Token(parts[0]))
-            tags.append(parts[1])
-        flush(lineno + 1)
+        flush()
     return sentences
 
 
@@ -133,7 +132,7 @@ def serialize_conll(sentences: Iterable[LabeledSentence], fh) -> None:
     """Write space-separated CoNLL, one blank line between sentences."""
     for sentence in sentences:
         for token, tag in zip(sentence.tokens, sentence.tags):
-            fh.write(f"{token.text} {tag}\n")
+            fh.write(f"{token} {tag}\n")
         fh.write("\n")
 
 

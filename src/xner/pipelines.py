@@ -38,11 +38,15 @@ def map_documents(worker, documents: Iterable[Document], workers: int) -> list:
         return list(pool.map(worker, docs, chunksize=chunksize))
 
 
-def _mask_doc(doc: Document, cfg: MaskingConfig, vocabulary: Sequence[str]) -> list[str]:
-    return [
-        json.dumps(example.to_record(), ensure_ascii=False)
-        for example in mask_corpus(segment(doc), cfg, vocabulary)
-    ]
+def _mask_doc(
+    doc: Document, cfg: MaskingConfig, vocabulary: Sequence[str]
+) -> tuple[list[str], int]:
+    lines = []
+    targets = 0
+    for example in mask_corpus(segment(doc), cfg, vocabulary):
+        lines.append(json.dumps(example.to_record(), ensure_ascii=False))
+        targets += len(example.targets)
+    return lines, targets
 
 
 def mask_documents(
@@ -50,10 +54,14 @@ def mask_documents(
     cfg: MaskingConfig,
     vocabulary: Sequence[str],
     workers: int = 1,
-) -> list[str]:
-    """JSONL lines of masked examples, in corpus order."""
+) -> tuple[list[str], int]:
+    """JSONL lines of masked examples in corpus order, and their target count."""
     worker = partial(_mask_doc, cfg=cfg, vocabulary=vocabulary)
-    return [line for lines in map_documents(worker, documents, workers) for line in lines]
+    results = map_documents(worker, documents, workers)
+    return (
+        [line for lines, _ in results for line in lines],
+        sum(targets for _, targets in results),
+    )
 
 
 def _select_doc(

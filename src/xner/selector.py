@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from xner.corpus import Sentence
-from xner.errors import DataError
+from xner.errors import DataError, open_text
 from xner.gazetteer import EntityMention, Gazetteer, TypeHierarchy, find_mentions
 from xner.seeding import unit_interval
 
@@ -119,7 +119,7 @@ def load_external_mentions(path) -> dict[tuple[str, int], list[EntityMention]]:
     Records: {"doc_id":…, "sentence_index":…, "start":…, "end":…, "type":…}.
     """
     index: dict[tuple[str, int], list[EntityMention]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

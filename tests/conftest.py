@@ -2,17 +2,16 @@ import random
 
 import pytest
 
-from xner.corpus import Sentence, Token
+from xner.corpus import Sentence
 from xner.nerdata import LabeledSentence
 
 
 def make_sentence(text: str, doc_id: str = "d", index: int = 0) -> Sentence:
-    return Sentence(doc_id, index, tuple(Token(t) for t in text.split()))
+    return Sentence(doc_id, index, tuple(text.split()))
 
 
 def make_labeled(text: str, tags) -> LabeledSentence:
-    tokens = tuple(Token(t) for t in text.split())
-    return LabeledSentence(tokens, tuple(tags))
+    return LabeledSentence(tuple(text.split()), tuple(tags))
 
 
 def random_bio_tags(rng: random.Random, length: int, types) -> list[str]:

@@ -63,6 +63,16 @@ class TestStats:
         assert summary["sentences"] == 5
         assert summary["tokens"] > 0
 
+    def test_invalid_utf8_is_data_error_with_line(self, capsys, tmp_path):
+        # The bad byte sits past the text reader's first decoded block.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"Plain words here.\n" * 2000 + b"caf\xff ok.\nMore.\n")
+        code, out, err = run_cli(capsys, "stats", "--input", str(path), "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert f"{path}:2001: invalid UTF-8" in err
+        assert "Traceback" not in err
+
 
 class TestExtract:
     def test_integrated_token_identity(
@@ -138,6 +148,18 @@ class TestExtract:
         assert code == 2
         assert "data error" in err
 
+    def test_bad_record_is_data_error(self, capsys, tmp_path, gazetteer_file):
+        # DataError is a ValueError; it must not be reported as a usage error.
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "a", "text": "Nirvana."}\nnot json\n')
+        code, _, err = run_cli(
+            capsys, "extract", "--level", "entity", "--format", "jsonl",
+            "--input", str(corpus), "--gazetteer", str(gazetteer_file),
+            "--output", str(tmp_path / "o.txt"), "--workers", "1",
+        )
+        assert code == 2
+        assert f"data error: {corpus}:2: invalid JSON" in err
+
 
 class TestMask:
     def test_mask_summary_and_output(self, capsys, tmp_path, music_corpus):
@@ -178,6 +200,19 @@ class TestMask:
 
 
 class TestEval:
+    def test_invalid_utf8_is_data_error_with_line(self, capsys, tmp_path):
+        gold = tmp_path / "g.conll"
+        gold.write_text("Nirvana B-band\nplayed O\n\n")
+        pred = tmp_path / "p.conll"
+        pred.write_bytes(b"Nirvana B-band\nplayed O\n\n\xc3( O\n\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--gold", str(gold), "--pred", str(pred)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{pred}:4: invalid UTF-8" in err
+        assert "Traceback" not in err
+
     def test_perfect_prediction(self, capsys, tmp_path):
         conll = tmp_path / "g.conll"
         conll.write_text("Nirvana B-band\nplayed O\n\n")

@@ -1,22 +1,37 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import ref_tokenizer
 from xner.corpus import (
+    SPLIT_PUNCT,
     CorpusStats,
     Document,
-    Token,
+    Sentence,
     corpus_stats,
     load_corpus,
     segment,
     split_sentences,
     split_text,
-    tokenize,
 )
 from xner.errors import DataError
+
+# Text fragments that exercise every tokenizer and segmenter rule, drawn
+# evenly from three pools: words (plain, upper-case and non-ASCII letters,
+# İ lowercasing to two code points, clitics in both cases, abbreviations),
+# punctuation (every peeled mark, terminal runs) and whitespace (including
+# the non-ASCII kinds str.split() honours).
+_WORDS = list("abzAQZ09") + [
+    "İ", "é", "ß", "Ω", "ǅ", "'s", "n't", "'S", "N'T", "Dr.", "e.g.", "U.S.", "etc.",
+]
+_PUNCT = sorted(SPLIT_PUNCT) + ["...", "?!", "!."]
+_SPACES = [" ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u2028"]
+_fragment = st.one_of(*(st.sampled_from(pool) for pool in (_WORDS, _PUNCT, _SPACES)))
+_text = st.lists(_fragment, max_size=40).map("".join)
 
 
 class TestTokenize:
     def test_empty_input(self):
-        assert tokenize("") == []
+        assert split_text("") == []
 
     def test_trailing_punctuation_split(self):
         assert split_text("Mars has four.") == ["Mars", "has", "four", "."]
@@ -43,16 +58,32 @@ class TestTokenize:
             joined = "".join(split_text(text))
             assert sorted(joined) == sorted(text.replace(" ", "").replace("\t", ""))
 
-    def test_token_rejects_whitespace_and_empty(self):
-        with pytest.raises(ValueError):
-            Token("a b")
-        with pytest.raises(ValueError):
-            Token("")
+    @settings(max_examples=1000)
+    @given(_text)
+    def test_matches_reference_tokenizer(self, text):
+        assert split_text(text) == ref_tokenizer.split_text(text)
 
-    def test_token_immutable(self):
-        token = Token("x")
+
+class TestSentence:
+    def test_rejects_whitespace_and_empty_tokens(self):
+        for tokens in (("a b",), ("",), ("a", ""), ("a", "b\tc"), ("a\u00a0b",)):
+            with pytest.raises(ValueError):
+                Sentence("d", 0, tokens)
+        with pytest.raises(TypeError):
+            Sentence("d", 0, ("a", 1))
+
+    def test_immutable(self):
+        sentence = Sentence("d", 0, ("x",))
         with pytest.raises(AttributeError):
-            token.text = "y"
+            sentence.tokens = ("y",)
+        with pytest.raises(TypeError):
+            sentence.tokens[0] = "y"
+
+    def test_links_in_range(self):
+        assert Sentence("d", 0, ("a", "b"), frozenset({1})).links == {1}
+        for links in ({2}, {-1}):
+            with pytest.raises(ValueError):
+                Sentence("d", 0, ("a", "b"), frozenset(links))
 
 
 class TestSegment:
@@ -88,6 +119,18 @@ class TestSegment:
         total = sum(len(s) for s in segment(doc))
         by_paragraph = sum(len(split_text(p)) for p in doc.paragraphs)
         assert total == by_paragraph
+
+    @settings(max_examples=500)
+    @given(st.lists(_text, max_size=4))
+    @example(["Ask Dr.! Then etc.. Go? No."])
+    def test_matches_reference_segmenter(self, paragraphs):
+        doc = Document("d", "", tuple(paragraphs))
+        assert split_sentences("".join(paragraphs)) == ref_tokenizer.split_sentences(
+            "".join(paragraphs)
+        )
+        assert [(s.index, s.tokens) for s in segment(doc)] == ref_tokenizer.segment(
+            paragraphs
+        )
 
 
 class TestCorpusStats:

@@ -15,7 +15,7 @@ from xner.gazetteer import (
     resolve_type,
     resolve_type_flagged,
 )
-from xner.corpus import Sentence, Token
+from xner.corpus import Sentence
 from xner.nerdata import validate_bio
 
 
@@ -238,18 +238,13 @@ class TestPreAnnotate:
         assert all(t == "O" for i, t in enumerate(tags) if i not in (5, 6))
 
     def test_unmatched_hyperlink_flagged(self):
-        tokens = tuple(
-            Token(t, has_hyperlink=(i == 2))
-            for i, t in enumerate("a b linked c".split())
-        )
-        s = Sentence("d", 0, tokens)
+        s = Sentence("d", 0, ("a", "b", "linked", "c"), links=frozenset({2}))
         tags, flags = pre_annotate(s, Gazetteer(), TypeHierarchy())
         assert tags[2] == "O"
         assert flags == {2}
 
     def test_matched_hyperlink_not_flagged(self):
-        tokens = (Token("Nirvana", has_hyperlink=True), Token("played"))
-        s = Sentence("d", 0, tokens)
+        s = Sentence("d", 0, ("Nirvana", "played"), links=frozenset({0}))
         g = Gazetteer({("Nirvana",): {"band"}})
         _, flags = pre_annotate(s, g, TypeHierarchy())
         assert flags == set()

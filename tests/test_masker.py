@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_sentence
-from xner.corpus import Token
 from xner.masker import (
     MaskedExample,
     MaskingConfig,
@@ -154,7 +153,7 @@ class TestSpanify:
 
 class TestApplyReplacements:
     def _tokens(self, n):
-        return [Token(f"w{i}") for i in range(n)]
+        return [f"w{i}" for i in range(n)]
 
     def test_all_mask_probability(self):
         cfg = MaskingConfig(mask_token_prob=1.0, random_token_prob=0.0, keep_prob=0.0)
@@ -289,18 +288,18 @@ class TestMaskCorpus:
 class TestMaskedExample:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MaskedExample("d", 0, (Token("a"),), ("a", "b"), ())
+            MaskedExample("d", 0, ("a",), ("a", "b"), ())
 
     def test_duplicate_target_positions_rejected(self):
         with pytest.raises(ValueError):
             MaskedExample(
-                "d", 0, (Token("a"), Token("b")), ("a", "b"),
+                "d", 0, ("a", "b"), ("a", "b"),
                 (MaskTarget(1, "b", "keep"), MaskTarget(1, "b", "keep")),
             )
 
     def test_record_round_trip_fields(self):
         example = MaskedExample(
-            "d", 3, (Token("a"), Token("b")), ("[MASK]", "b"),
+            "d", 3, ("a", "b"), ("[MASK]", "b"),
             (MaskTarget(0, "a", "mask"),),
         )
         record = example.to_record()

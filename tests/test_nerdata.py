@@ -135,6 +135,20 @@ class TestLabeledSentence:
         with pytest.raises(ValueError):
             make_labeled("a b", ["O", "I-x"])
 
+    def test_rejects_whitespace_and_empty_tokens(self):
+        for tokens in (("a b",), ("",), ("a", ""), ("a", "b\tc")):
+            with pytest.raises(ValueError):
+                LabeledSentence(tokens, ("O",) * len(tokens))
+        with pytest.raises(TypeError):
+            LabeledSentence(("a", 1), ("O", "O"))
+
+    def test_immutable(self):
+        sentence = make_labeled("x", ["O"])
+        with pytest.raises(AttributeError):
+            sentence.tokens = ("y",)
+        with pytest.raises(TypeError):
+            sentence.tokens[0] = "y"
+
 
 class TestDatasetStats:
     def test_empty_split(self):
