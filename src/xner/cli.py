@@ -13,10 +13,10 @@ import json
 import os
 import sys
 
-from xner.corpus import iter_sentences, load_corpus, split_text
+from xner.corpus import load_corpus, split_text
 from xner.errors import DataError, UsageError, open_text
 from xner.evaluation import misclassification_rate, score, vocab_overlap
-from xner.gazetteer import TypeHierarchy, load_gazetteer, pre_annotate
+from xner.gazetteer import TypeHierarchy, load_gazetteer
 from xner.masker import MaskingConfig, build_vocabulary
 from xner.nerdata import (
     JointConfig,
@@ -26,7 +26,13 @@ from xner.nerdata import (
     serialize_conll,
     subsample,
 )
-from xner.pipelines import mask_documents, select_documents, stats_documents, write_groups
+from xner.pipelines import (
+    mask_documents,
+    pre_annotate_documents,
+    select_documents,
+    stats_documents,
+    write_groups,
+)
 from xner.selector import SelectorConfig, load_external_mentions
 
 
@@ -132,8 +138,8 @@ def _workers(args) -> int:
     return n
 
 
-def _load_hierarchy(path) -> TypeHierarchy:
-    return TypeHierarchy.load(path) if path else TypeHierarchy()
+def _load_hierarchy(path) -> TypeHierarchy | None:
+    return TypeHierarchy.load(path) if path else None
 
 
 def _cmd_stats(args) -> None:
@@ -142,9 +148,10 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_extract(args) -> None:
+    hierarchy = _load_hierarchy(args.hierarchy)
     gazetteer = None
     if args.gazetteer:
-        gazetteer = load_gazetteer(args.gazetteer, args.specialized)
+        gazetteer = load_gazetteer(args.gazetteer, args.specialized, hierarchy)
     mentions = load_external_mentions(args.mentions) if args.mentions else None
     if gazetteer is None and mentions is None:
         raise UsageError("extract requires --gazetteer or --mentions")
@@ -163,7 +170,6 @@ def _cmd_extract(args) -> None:
             load_corpus(args.input, args.format),
             args.level,
             gazetteer,
-            _load_hierarchy(args.hierarchy),
             cfg,
             mentions=mentions,
             specialized_types=specialized,
@@ -219,9 +225,7 @@ def _cmd_ner_stats(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    gold = parse_conll(args.gold)
-    pred = parse_conll(args.pred)
-    report = score(gold, pred)
+    report = score(parse_conll(args.gold), parse_conll(args.pred))
     summary = {
         "precision": report.micro.precision,
         "recall": report.micro.recall,
@@ -232,7 +236,7 @@ def _cmd_eval(args) -> None:
             from_type, to_type = args.misclassify.split(",", 1)
         except ValueError as exc:
             raise UsageError("--misclassify expects FROM,TO") from exc
-        rate = misclassification_rate(gold, pred, from_type, to_type)
+        rate = misclassification_rate(report, from_type, to_type)
         key = (
             "correctly_classified_rate"
             if from_type == to_type
@@ -271,18 +275,12 @@ def _cmd_overlap(args) -> None:
 
 
 def _cmd_pre_annotate(args) -> None:
-    gazetteer = load_gazetteer(args.gazetteer)
-    hierarchy = _load_hierarchy(args.hierarchy)
-    sentences = 0
-    flagged = 0
+    gazetteer = load_gazetteer(args.gazetteer, hierarchy=_load_hierarchy(args.hierarchy))
+    texts, sentences, flagged = pre_annotate_documents(
+        load_corpus(args.input, args.format), gazetteer, _workers(args)
+    )
     with open(args.output, "w", encoding="utf-8") as fh:
-        for sentence in iter_sentences(load_corpus(args.input, args.format)):
-            tags, flags = pre_annotate(sentence, gazetteer, hierarchy)
-            flagged += len(flags)
-            for token, tag in zip(sentence.tokens, tags):
-                fh.write(f"{token} {tag}\n")
-            fh.write("\n")
-            sentences += 1
+        fh.writelines(texts)
     _log(f"pre-annotated {sentences} sentences to {args.output}")
     _emit({"sentences": sentences, "review_flags": flagged})
 

@@ -196,11 +196,6 @@ def segment(document: Document) -> list[Sentence]:
     return sentences
 
 
-def iter_sentences(documents: Iterable[Document]) -> Iterator[Sentence]:
-    for doc in documents:
-        yield from segment(doc)
-
-
 def corpus_stats(documents: Iterable[Document]) -> CorpusStats:
     """Exact paragraph/sentence/token counts over a document stream.
 

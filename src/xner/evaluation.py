@@ -141,28 +141,15 @@ def score(
     return EvalReport(micro, per_type, dict(confusion))
 
 
-def misclassification_rate(
-    gold: Sequence[LabeledSentence],
-    pred: Sequence[LabeledSentence],
-    from_type: str,
-    to_type: str,
-) -> float:
+def misclassification_rate(report: EvalReport, from_type: str, to_type: str) -> float:
     """Fraction of gold from_type mentions predicted as to_type at the
     identical span. from_type == to_type measures correct classification."""
-    _check_alignment(gold, pred)
-    total = 0
-    hits = 0
-    for g_sentence, p_sentence in zip(gold, pred):
-        p_mentions = {
-            (m.start, m.end): m.entity_type for m in extract_entities(p_sentence)
-        }
-        for m in extract_entities(g_sentence):
-            if m.entity_type != from_type:
-                continue
-            total += 1
-            if p_mentions.get((m.start, m.end)) == to_type:
-                hits += 1
-    return hits / total if total else 0.0
+    scores = report.per_type.get(from_type)
+    if scores is None or not scores.gold:
+        return 0.0
+    if from_type == to_type:
+        return scores.correct / scores.gold
+    return report.confusion.get((from_type, to_type), 0) / scores.gold
 
 
 def _is_punctuation(token: str) -> bool:

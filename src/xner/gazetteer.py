@@ -8,7 +8,6 @@ entry) and stays practical on corpora of 10^8 tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from xner.corpus import Sentence, split_text
@@ -64,9 +63,6 @@ class TypeHierarchy:
             out.append(node)
         return out
 
-    def is_ancestor(self, ancestor: str, entity_type: str) -> bool:
-        return ancestor in self.ancestors(entity_type)
-
     @classmethod
     def load(cls, path) -> "TypeHierarchy":
         """Load a TSV of "child<TAB>parent" rows."""
@@ -84,31 +80,40 @@ class TypeHierarchy:
 
 
 class Gazetteer:
-    """Surface-form dictionary mapping token sequences to entity-type sets."""
+    """Surface-form dictionary mapping token sequences to entity-type sets.
+
+    Each trie terminal holds the entry's type resolved once, here, under
+    the hierarchy (politician beats person), so matching never resolves.
+    """
 
     def __init__(
         self,
         entries: Mapping[Sequence[str], Iterable[str]] | None = None,
         specialized_types: Iterable[str] = (),
+        hierarchy: TypeHierarchy | None = None,
     ):
         self.entries: dict[tuple[str, ...], frozenset[str]] = {}
+        for surface, types in (entries or {}).items():
+            surface, types = tuple(surface), frozenset(types)
+            if not surface or not all(surface):
+                raise ValueError(f"empty gazetteer surface form: {surface!r}")
+            if not types:
+                raise ValueError(f"gazetteer entry without types: {surface!r}")
+            self.entries[surface] = self.entries.get(surface, frozenset()) | types
+        hierarchy = hierarchy or TypeHierarchy()
+        resolved: dict[frozenset[str], str] = {}
         self._trie: dict = {}
         self.max_entry_len = 0
-        for surface, types in (entries or {}).items():
-            self._add(tuple(surface), frozenset(types))
+        for surface, types in self.entries.items():
+            entity_type = resolved.get(types)
+            if entity_type is None:
+                entity_type = resolved[types] = resolve_type(types, hierarchy)
+            node = self._trie
+            for token in surface:
+                node = node.setdefault(token, {})
+            node[_END] = entity_type
+            self.max_entry_len = max(self.max_entry_len, len(surface))
         self.specialized_types = frozenset(specialized_types)
-
-    def _add(self, surface: tuple[str, ...], types: frozenset[str]) -> None:
-        if not surface or not all(surface):
-            raise ValueError(f"empty gazetteer surface form: {surface!r}")
-        if not types:
-            raise ValueError(f"gazetteer entry without types: {surface!r}")
-        self.entries[surface] = self.entries.get(surface, frozenset()) | types
-        node = self._trie
-        for token in surface:
-            node = node.setdefault(token, {})
-        node[_END] = self.entries[surface]
-        self.max_entry_len = max(self.max_entry_len, len(surface))
 
     def __len__(self):
         return len(self.entries)
@@ -117,7 +122,7 @@ class Gazetteer:
         return tuple(surface) in self.entries
 
     def longest_match(self, texts: Sequence[str], start: int):
-        """Longest entry starting at position start, as (end, types), or None."""
+        """Longest entry starting at position start, as (end, type), or None."""
         node = self._trie
         best = None
         i = start
@@ -127,18 +132,18 @@ class Gazetteer:
             if node is None:
                 break
             i += 1
-            types = node.get(_END)
-            if types is not None:
-                best = (i, types)
+            entity_type = node.get(_END)
+            if entity_type is not None:
+                best = (i, entity_type)
         return best
 
 
-def load_gazetteer(path, specialized_path=None) -> Gazetteer:
+def load_gazetteer(path, specialized_path=None, hierarchy=None) -> Gazetteer:
     """Load a "surface<TAB>type" TSV, tokenizing surfaces with the corpus rules.
 
     Duplicate (surface, type) rows are merged; one surface may carry
-    several types. An optional file of one type per line marks the
-    domain-specialized types.
+    several types, resolved to one under the optional hierarchy. An
+    optional file of one type per line marks the domain-specialized types.
     """
     entries: dict[tuple[str, ...], set[str]] = {}
     with open_text(path) as fh:
@@ -157,16 +162,7 @@ def load_gazetteer(path, specialized_path=None) -> Gazetteer:
     if specialized_path is not None:
         with open_text(specialized_path) as fh:
             specialized = [line.strip() for line in fh if line.strip()]
-    return Gazetteer(entries, specialized)
-
-
-def minimal_types(candidates: Iterable[str], hierarchy: TypeHierarchy) -> set[str]:
-    """Candidates that are not ancestors of any other candidate."""
-    cands = set(candidates)
-    return {
-        c for c in cands
-        if not any(hierarchy.is_ancestor(c, other) for other in cands if other != c)
-    }
+    return Gazetteer(entries, specialized, hierarchy)
 
 
 def resolve_type(candidates: Iterable[str], hierarchy: TypeHierarchy) -> str:
@@ -174,25 +170,15 @@ def resolve_type(candidates: Iterable[str], hierarchy: TypeHierarchy) -> str:
 
     Ancestors of other candidates are discarded (politician beats person).
     If several incomparable candidates remain the lexicographically
-    smallest wins; use resolve_type_flagged to detect that case.
+    smallest wins.
     """
-    return resolve_type_flagged(candidates, hierarchy)[0]
-
-
-def resolve_type_flagged(
-    candidates: Iterable[str], hierarchy: TypeHierarchy
-) -> tuple[str, bool]:
-    """Like resolve_type, plus an ambiguity flag for incomparable ties."""
     cands = set(candidates)
     if not cands:
         raise ValueError("candidate type set must be non-empty")
-    minimal = minimal_types(cands, hierarchy)
-    return min(minimal), len(minimal) > 1
+    return min(cands.difference(*map(hierarchy.ancestors, cands)))
 
 
-def find_mentions(
-    sentence: Sentence, gazetteer: Gazetteer, hierarchy: TypeHierarchy
-) -> list[EntityMention]:
+def find_mentions(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMention]:
     """Leftmost-longest non-overlapping gazetteer matches.
 
     Scans left to right, takes the longest entry at each position and
@@ -208,15 +194,10 @@ def find_mentions(
         if match is None:
             i += 1
             continue
-        end, types = match
+        end, entity_type = match
         mentions.append(
             EntityMention(
-                sentence.doc_id,
-                sentence.index,
-                i,
-                end,
-                resolve_type(types, hierarchy),
-                source="gazetteer",
+                sentence.doc_id, sentence.index, i, end, entity_type, source="gazetteer"
             )
         )
         i = end
@@ -235,16 +216,14 @@ def mentions_to_bio(mentions: Iterable[EntityMention], length: int) -> list[str]
     return tags
 
 
-def pre_annotate(
-    sentence: Sentence, gazetteer: Gazetteer, hierarchy: TypeHierarchy
-) -> tuple[list[str], set[int]]:
+def pre_annotate(sentence: Sentence, gazetteer: Gazetteer) -> tuple[list[str], set[int]]:
     """Machine pre-annotation: BIO tags plus positions needing human review.
 
     Review flags mark hyperlinked positions (sentence.links) not covered
     by any mention; hyperlinked tokens are likely entities, so an
     unmatched one deserves annotator attention.
     """
-    mentions = find_mentions(sentence, gazetteer, hierarchy)
+    mentions = find_mentions(sentence, gazetteer)
     tags = mentions_to_bio(mentions, len(sentence))
     flags = set(sentence.links)
     for m in mentions:

@@ -167,16 +167,6 @@ def extract_entities(
     return mentions
 
 
-def entities_to_tags(mentions: Iterable[EntityMention], length: int) -> list[str]:
-    """Inverse of extract_entities for non-overlapping mentions."""
-    tags = ["O"] * length
-    for m in mentions:
-        tags[m.start] = f"B-{m.entity_type}"
-        for i in range(m.start + 1, m.end):
-            tags[i] = f"I-{m.entity_type}"
-    return tags
-
-
 def dataset_stats(split: Sequence[LabeledSentence]) -> SplitStats:
     """Sentence count plus per-type mention counts and percentages."""
     counts: dict[str, int] = {}

@@ -15,7 +15,7 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from xner.corpus import CorpusStats, Document, corpus_stats, segment
-from xner.gazetteer import Gazetteer, TypeHierarchy
+from xner.gazetteer import Gazetteer, pre_annotate
 from xner.masker import MaskingConfig, mask_corpus
 from xner.selector import (
     MentionIndex,
@@ -28,14 +28,33 @@ from xner.selector import (
 LEVELS = ("entity", "task", "integrated")
 
 
+# The worker of the current pool process, set once by the pool initializer.
+_pool_worker = None
+
+
+def _set_pool_worker(worker) -> None:
+    global _pool_worker
+    _pool_worker = worker
+
+
+def _call_pool_worker(doc: Document):
+    return _pool_worker(doc)
+
+
 def map_documents(worker, documents: Iterable[Document], workers: int) -> list:
-    """Apply worker to each document, preserving document order."""
+    """Apply worker to each document, preserving document order.
+
+    The worker (and the gazetteer or vocabulary bound into it) reaches
+    each pool process once, through the initializer, not with every chunk.
+    """
     docs = list(documents)
     if workers <= 1 or len(docs) <= 1:
         return [worker(d) for d in docs]
     chunksize = max(1, math.ceil(len(docs) / (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, docs, chunksize=chunksize))
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_pool_worker, initargs=(worker,)
+    ) as pool:
+        return list(pool.map(_call_pool_worker, docs, chunksize=chunksize))
 
 
 def _mask_doc(
@@ -67,7 +86,6 @@ def mask_documents(
 def _select_doc(
     doc: Document,
     gazetteer: Gazetteer | None,
-    hierarchy: TypeHierarchy,
     cfg: SelectorConfig,
     need_task: bool,
     mentions: MentionIndex | None,
@@ -78,17 +96,12 @@ def _select_doc(
     sentences = segment(doc)
     if percent is not None:
         sentences = list(sample_fraction(sentences, percent, seed))
-    entity = [
-        s.text()
-        for s in select_entity_level(sentences, gazetteer, hierarchy, cfg, mentions)
-    ]
+    entity = [s.text() for s in select_entity_level(sentences, gazetteer, cfg, mentions)]
     task = []
     if need_task:
         task = [
             s.text()
-            for s in select_task_level(
-                sentences, gazetteer, hierarchy, cfg, mentions, specialized_types
-            )
+            for s in select_task_level(sentences, gazetteer, cfg, mentions, specialized_types)
         ]
     return entity, task
 
@@ -97,7 +110,6 @@ def select_documents(
     documents: Iterable[Document],
     level: str,
     gazetteer: Gazetteer | None,
-    hierarchy: TypeHierarchy,
     cfg: SelectorConfig = SelectorConfig(),
     mentions: MentionIndex | None = None,
     specialized_types=None,
@@ -109,7 +121,8 @@ def select_documents(
 
     level "entity" or "task" yields one group per contributing document;
     "integrated" yields the entity groups followed by the task groups
-    repeated cfg.task_upsample times.
+    repeated cfg.task_upsample times, so token counts satisfy
+    tokens(integrated) = tokens(entity) + task_upsample * tokens(task).
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
@@ -127,7 +140,6 @@ def select_documents(
     worker = partial(
         _select_doc,
         gazetteer=gazetteer,
-        hierarchy=hierarchy,
         cfg=cfg,
         need_task=level in ("task", "integrated"),
         mentions=mentions,
@@ -143,6 +155,31 @@ def select_documents(
     if level == "task":
         return task_groups
     return entity_groups + task_groups * cfg.task_upsample
+
+
+def _annotate_doc(doc: Document, gazetteer: Gazetteer) -> tuple[str, int, int]:
+    lines = []
+    flagged = 0
+    sentences = segment(doc)
+    for sentence in sentences:
+        tags, flags = pre_annotate(sentence, gazetteer)
+        flagged += len(flags)
+        lines.extend(map("{} {}\n".format, sentence.tokens, tags))
+        lines.append("\n")
+    return "".join(lines), len(sentences), flagged
+
+
+def pre_annotate_documents(
+    documents: Iterable[Document], gazetteer: Gazetteer, workers: int = 1
+) -> tuple[list[str], int, int]:
+    """CoNLL text of each document in corpus order, the sentence count and
+    the review-flag count."""
+    results = map_documents(partial(_annotate_doc, gazetteer=gazetteer), documents, workers)
+    return (
+        [text for text, _, _ in results],
+        sum(sentences for _, sentences, _ in results),
+        sum(flagged for _, _, flagged in results),
+    )
 
 
 def write_groups(groups: Iterable[list[str]], fh) -> int:

@@ -1,6 +1,7 @@
-"""Pre-training corpus construction: entity-level, task-level, integrated, sampled.
+"""Pre-training corpus selection: entity-level, task-level and sampled.
 
-All selectors are order-preserving streaming filters over sentences.
+pipelines.select_documents joins the first two into the integrated
+corpus. All selectors are order-preserving streaming filters over sentences.
 Mentions come either from gazetteer matching or from an externally
 supplied mention file (e.g. produced by a separately trained NER model),
 through the same code path.
@@ -14,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 from xner.corpus import Sentence
 from xner.errors import DataError, open_text
-from xner.gazetteer import EntityMention, Gazetteer, TypeHierarchy, find_mentions
+from xner.gazetteer import EntityMention, Gazetteer, find_mentions
 from xner.seeding import unit_interval
 
 # Mention lookup for external annotations: (doc_id, sentence_index) -> mentions.
@@ -34,28 +35,24 @@ class SelectorConfig:
 
 
 def _sentence_mentions(
-    sentence: Sentence,
-    gazetteer: Gazetteer | None,
-    hierarchy: TypeHierarchy,
-    mentions: MentionIndex | None,
+    sentence: Sentence, gazetteer: Gazetteer | None, mentions: MentionIndex | None
 ) -> list[EntityMention]:
     if mentions is not None:
         return mentions.get((sentence.doc_id, sentence.index), [])
     if gazetteer is None:
         raise ValueError("either a gazetteer or an external mention index is required")
-    return find_mentions(sentence, gazetteer, hierarchy)
+    return find_mentions(sentence, gazetteer)
 
 
 def select_entity_level(
     corpus: Iterable[Sentence],
     gazetteer: Gazetteer | None,
-    hierarchy: TypeHierarchy,
     cfg: SelectorConfig = SelectorConfig(),
     mentions: MentionIndex | None = None,
 ) -> Iterator[Sentence]:
     """Sentences containing at least cfg.min_mentions entity mentions."""
     for sentence in corpus:
-        found = _sentence_mentions(sentence, gazetteer, hierarchy, mentions)
+        found = _sentence_mentions(sentence, gazetteer, mentions)
         if len(found) >= cfg.min_mentions:
             yield sentence
 
@@ -63,7 +60,6 @@ def select_entity_level(
 def select_task_level(
     corpus: Iterable[Sentence],
     gazetteer: Gazetteer | None,
-    hierarchy: TypeHierarchy,
     cfg: SelectorConfig = SelectorConfig(),
     mentions: MentionIndex | None = None,
     specialized_types: Iterable[str] | None = None,
@@ -75,27 +71,10 @@ def select_task_level(
     if not specialized:
         raise ValueError("task-level selection requires a non-empty specialized type set")
     for sentence in corpus:
-        found = _sentence_mentions(sentence, gazetteer, hierarchy, mentions)
+        found = _sentence_mentions(sentence, gazetteer, mentions)
         hits = sum(1 for m in found if m.entity_type in specialized)
         if hits >= cfg.min_specialized:
             yield sentence
-
-
-def build_integrated(
-    entity_level: Iterable[Sentence],
-    task_level: Iterable[Sentence],
-    cfg: SelectorConfig = SelectorConfig(),
-) -> Iterator[Sentence]:
-    """Entity-level corpus followed by the task-level corpus upsampled.
-
-    The task-level sentences are physically duplicated cfg.task_upsample
-    times, so token counts satisfy
-    tokens(integrated) = tokens(entity) + task_upsample * tokens(task).
-    """
-    yield from entity_level
-    task = list(task_level)
-    for _ in range(cfg.task_upsample):
-        yield from task
 
 
 def sample_fraction(

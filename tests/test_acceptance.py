@@ -124,7 +124,6 @@ def test_04_integrated_corpus_identity():
              ("Seattle",): {"location"}, ("Kurt", "Cobain"): {"person"}},
             specialized_types={"band", "album"},
         )
-        hierarchy = TypeHierarchy()
         words = ["Nirvana", "Nevermind", "Seattle", "Kurt", "Cobain",
                  "played", "loudly", "fans", "cheered", "records"]
         rng = random.Random(4)
@@ -132,7 +131,7 @@ def test_04_integrated_corpus_identity():
         for _ in range(50):
             docs = _random_documents(rng, rng.randint(1, 12), words)
             by_level = {
-                level: select_documents(docs, level, gazetteer, hierarchy)
+                level: select_documents(docs, level, gazetteer)
                 for level in ("entity", "task", "integrated")
             }
             assert _group_tokens(by_level["integrated"]) == (
@@ -242,7 +241,7 @@ def test_08_longest_match_rule():
         })
         sentence = make_sentence("The United Socialist Party of Venezuela was founded")
         start = time.perf_counter()
-        mentions = find_mentions(sentence, gazetteer, TypeHierarchy())
+        mentions = find_mentions(sentence, gazetteer)
         elapsed = time.perf_counter() - start
         assert [(m.start, m.end, m.entity_type) for m in mentions] == [
             (1, 6, "political party"),
@@ -279,7 +278,6 @@ def test_09_determinism_under_parallelism():
              ("Seattle",): {"location"}},
             specialized_types={"band", "album"},
         )
-        hierarchy = TypeHierarchy()
         cfg = MaskingConfig(seed=9)
         vocabulary = [f"word{i}" for i in range(50)]
         start = time.perf_counter()
@@ -294,7 +292,7 @@ def test_09_determinism_under_parallelism():
 
             buffer = io.StringIO()
             groups = select_documents(
-                docs, "integrated", gazetteer, hierarchy, workers=workers
+                docs, "integrated", gazetteer, workers=workers
             )
             write_groups(groups, buffer)
             extracted[workers] = buffer.getvalue()
@@ -331,7 +329,6 @@ def test_11_selection_throughput():
         rng = random.Random(11)
         entries = {(f"Entity{i}",): {"thing"} for i in range(50_000)}
         gazetteer = Gazetteer(entries, specialized_types={"thing"})
-        hierarchy = TypeHierarchy()
 
         plain = [f"word{i}" for i in range(5000)]
         entity_tokens = [f"Entity{i}" for i in range(0, 50_000, 7)]
@@ -349,7 +346,7 @@ def test_11_selection_throughput():
         assert sum(len(s) for s in sentences) == 10_000_000
 
         start = time.perf_counter()
-        selected = list(select_entity_level(sentences, gazetteer, hierarchy))
+        selected = list(select_entity_level(sentences, gazetteer))
         elapsed = time.perf_counter() - start
         assert elapsed < 60
         # sanity: templates never place two entities in one sentence, so
@@ -357,7 +354,7 @@ def test_11_selection_throughput():
         # actually ran; require the cheaper >= 1 variant to find matches
         found = list(
             select_entity_level(
-                sentences[:2000], gazetteer, hierarchy,
+                sentences[:2000], gazetteer,
                 SelectorConfig(min_mentions=1),
             )
         )

@@ -160,6 +160,21 @@ class TestExtract:
         assert code == 2
         assert f"data error: {corpus}:2: invalid JSON" in err
 
+    def test_malformed_hierarchy_is_data_error_with_mentions(
+        self, capsys, tmp_path, music_corpus
+    ):
+        mentions = tmp_path / "m.jsonl"
+        mentions.write_text("")
+        hierarchy = tmp_path / "h.tsv"
+        hierarchy.write_text("musical artist\tperson\nno tab here\n")
+        code, _, err = run_cli(
+            capsys, "extract", "--level", "entity", "--input", str(music_corpus),
+            "--mentions", str(mentions), "--hierarchy", str(hierarchy),
+            "--output", str(tmp_path / "o.txt"), "--workers", "1",
+        )
+        assert code == 2
+        assert f"data error: {hierarchy}:2:" in err
+
 
 class TestMask:
     def test_mask_summary_and_output(self, capsys, tmp_path, music_corpus):
@@ -324,6 +339,33 @@ class TestOverlapAndPreAnnotate:
         text = out_path.read_text()
         assert "Nirvana B-band" in text
         assert "Nevermind B-album" in text
+
+    def test_pre_annotate_workers_byte_identical(
+        self, capsys, tmp_path, music_corpus, gazetteer_file, hierarchy_file
+    ):
+        outputs = {}
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"pre{workers}.conll"
+            code, out, _ = run_cli(
+                capsys, "pre-annotate", "--input", str(music_corpus),
+                "--gazetteer", str(gazetteer_file), "--hierarchy", str(hierarchy_file),
+                "--output", str(out_path), "--workers", workers,
+            )
+            assert code == 0
+            outputs[workers] = (out, out_path.read_bytes())
+        assert outputs["1"] == outputs["2"]
+        assert json.loads(outputs["1"][0])["sentences"] == 5
+
+    def test_pre_annotate_zero_workers_is_usage_error(
+        self, capsys, tmp_path, music_corpus, gazetteer_file
+    ):
+        code, _, err = run_cli(
+            capsys, "pre-annotate", "--input", str(music_corpus),
+            "--gazetteer", str(gazetteer_file),
+            "--output", str(tmp_path / "pre.conll"), "--workers", "0",
+        )
+        assert code == 1
+        assert "--workers" in err
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

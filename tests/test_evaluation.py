@@ -29,6 +29,19 @@ def oracle_score(gold, pred):
     return p, r, f1, len(gold_triples), len(pred_triples), correct
 
 
+def oracle_misclassification_rate(gold, pred, from_type, to_type):
+    """Rescan of aligned gold/pred pairs: gold from_type mentions whose
+    identical span is predicted as to_type, over all gold from_type mentions."""
+    total = hits = 0
+    for g_sentence, p_sentence in zip(gold, pred):
+        p_mentions = {(m.start, m.end): m.entity_type for m in extract_entities(p_sentence)}
+        for m in extract_entities(g_sentence):
+            if m.entity_type == from_type:
+                total += 1
+                hits += p_mentions.get((m.start, m.end)) == to_type
+    return hits / total if total else 0.0
+
+
 def random_pair(rng, n_sentences=5, max_len=12):
     types = ["person", "band", "location"]
     gold, pred = [], []
@@ -122,7 +135,7 @@ class TestMisclassificationRate:
     def test_no_gold_mentions_of_type(self):
         gold = [make_labeled("a", ["O"])]
         pred = [make_labeled("a", ["O"])]
-        assert misclassification_rate(gold, pred, "person", "artist") == 0.0
+        assert misclassification_rate(score(gold, pred), "person", "artist") == 0.0
 
     def test_hand_count(self):
         # 4 gold person mentions; 3 predicted as musical artist at the same span
@@ -131,16 +144,27 @@ class TestMisclassificationRate:
             gold.append(make_labeled("Kurt Cobain sang", ["B-person", "I-person", "O"]))
             tag = "musicalartist" if i < 3 else "person"
             pred.append(make_labeled("Kurt Cobain sang", [f"B-{tag}", f"I-{tag}", "O"]))
-        assert misclassification_rate(gold, pred, "person", "musicalartist") == 0.75
+        assert misclassification_rate(score(gold, pred), "person", "musicalartist") == 0.75
 
     def test_same_type_on_perfect_prediction(self):
         gold = [make_labeled("Kurt Cobain sang", ["B-person", "I-person", "O"])]
-        assert misclassification_rate(gold, gold, "person", "person") == 1.0
+        assert misclassification_rate(score(gold, gold), "person", "person") == 1.0
 
     def test_span_must_match_exactly(self):
         gold = [make_labeled("Kurt Cobain sang", ["B-person", "I-person", "O"])]
         pred = [make_labeled("Kurt Cobain sang", ["B-artist", "O", "O"])]
-        assert misclassification_rate(gold, pred, "person", "artist") == 0.0
+        assert misclassification_rate(score(gold, pred), "person", "artist") == 0.0
+
+    def test_matches_rescan_oracle(self, rng):
+        types = ["person", "band", "location", "song"]
+        for _ in range(300):
+            gold, pred = random_pair(rng, n_sentences=rng.randint(1, 6), max_len=10)
+            report = score(gold, pred)
+            for from_type in types:
+                for to_type in types:
+                    assert misclassification_rate(report, from_type, to_type) == (
+                        oracle_misclassification_rate(gold, pred, from_type, to_type)
+                    )
 
 
 class TestVocabOverlap:

@@ -13,7 +13,6 @@ from xner.gazetteer import (
     load_gazetteer,
     pre_annotate,
     resolve_type,
-    resolve_type_flagged,
 )
 from xner.corpus import Sentence
 from xner.nerdata import validate_bio
@@ -88,6 +87,15 @@ class TestLoadGazetteer:
         g = load_gazetteer(g_path, s_path)
         assert g.specialized_types == {"band", "album"}
 
+    def test_hierarchy_resolves_merged_rows(self, tmp_path):
+        g_path = tmp_path / "g.tsv"
+        g_path.write_text("Hugo Chávez\tperson\nAna\tperson\nHugo Chávez\tpolitician\n")
+        h_path = tmp_path / "h.tsv"
+        h_path.write_text("politician\tperson\n")
+        g = load_gazetteer(g_path, hierarchy=TypeHierarchy.load(h_path))
+        mentions = find_mentions(make_sentence("Ana met Hugo Chávez"), g)
+        assert [m.entity_type for m in mentions] == ["person", "politician"]
+
 
 class TestResolveType:
     def test_singleton(self):
@@ -105,14 +113,8 @@ class TestResolveType:
         h = TypeHierarchy({"enzyme": "protein", "protein": "chemical compound"})
         assert resolve_type({"chemical compound", "protein", "enzyme"}, h) == "enzyme"
 
-    def test_incomparable_tie_is_lexicographic_and_flagged(self):
-        resolved, ambiguous = resolve_type_flagged({"song", "album"}, TypeHierarchy())
-        assert resolved == "album"
-        assert ambiguous
-
-    def test_unambiguous_not_flagged(self):
-        h = TypeHierarchy({"politician": "person"})
-        assert resolve_type_flagged({"person", "politician"}, h) == ("politician", False)
+    def test_incomparable_tie_is_lexicographic(self):
+        assert resolve_type({"song", "album"}, TypeHierarchy()) == "album"
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError):
@@ -128,6 +130,20 @@ class TestResolveType:
             assert resolve_type(set(perm), h) == resolved
         assert resolve_type({resolved}, h) == resolved
 
+    def test_matches_pairwise_oracle(self, rng):
+        names = ["a", "b", "c", "d", "e", "f"]
+        for _ in range(2000):
+            order = rng.sample(names, len(names))
+            h = TypeHierarchy({
+                t: rng.choice(order[:i])
+                for i, t in enumerate(order) if i and rng.random() < 0.6
+            })
+            cands = set(rng.sample(names, rng.randint(1, len(names))))
+            minimal = {
+                c for c in cands if not any(c in h.ancestors(o) for o in cands if o != c)
+            }
+            assert resolve_type(cands, h) == min(minimal)
+
     def test_hierarchy_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             TypeHierarchy({"a": "b", "b": "a"})
@@ -142,7 +158,7 @@ class TestResolveType:
 class TestFindMentions:
     def test_empty_gazetteer(self):
         s = make_sentence("no entities here")
-        assert find_mentions(s, Gazetteer(), TypeHierarchy()) == []
+        assert find_mentions(s, Gazetteer()) == []
 
     def test_larger_span_suppresses_inner_entity(self):
         g = Gazetteer({
@@ -150,7 +166,7 @@ class TestFindMentions:
             ("Venezuela",): {"country"},
         })
         s = make_sentence("the United Socialist Party of Venezuela drew votes")
-        mentions = find_mentions(s, g, TypeHierarchy())
+        mentions = find_mentions(s, g)
         assert mentions == [
             EntityMention("d", 0, 1, 6, "political party", "gazetteer")
         ]
@@ -161,17 +177,17 @@ class TestFindMentions:
             ("New", "York", "City"): {"location"},
         })
         s = make_sentence("New York City")
-        mentions = find_mentions(s, g, TypeHierarchy())
+        mentions = find_mentions(s, g)
         assert [(m.start, m.end) for m in mentions] == [(0, 3)]
 
     def test_case_sensitive(self):
         g = Gazetteer({("Apple",): {"organization"}})
-        assert find_mentions(make_sentence("an apple fell"), g, TypeHierarchy()) == []
+        assert find_mentions(make_sentence("an apple fell"), g) == []
 
-    def test_types_resolved_at_match_time(self):
-        g = Gazetteer({("Hugo", "Chávez"): {"person", "politician"}})
+    def test_types_resolved_at_load(self):
         h = TypeHierarchy({"politician": "person"})
-        [m] = find_mentions(make_sentence("Hugo Chávez spoke"), g, h)
+        g = Gazetteer({("Hugo", "Chávez"): {"person", "politician"}}, hierarchy=h)
+        [m] = find_mentions(make_sentence("Hugo Chávez spoke"), g)
         assert m.entity_type == "politician"
 
     def test_sorted_and_disjoint(self, rng):
@@ -184,7 +200,7 @@ class TestFindMentions:
             g = Gazetteer(entries)
             texts = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
             s = make_sentence(" ".join(texts))
-            mentions = find_mentions(s, g, TypeHierarchy())
+            mentions = find_mentions(s, g)
             spans = [(m.start, m.end) for m in mentions]
             assert spans == sorted(spans)
             for (_, e1), (s2, _) in zip(spans, spans[1:]):
@@ -200,7 +216,7 @@ class TestFindMentions:
             g = Gazetteer(entries)
             texts = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
             s = make_sentence(" ".join(texts))
-            got = [(m.start, m.end) for m in find_mentions(s, g, TypeHierarchy())]
+            got = [(m.start, m.end) for m in find_mentions(s, g)]
             expected = [(a, b) for a, b, _ in
                         oracle_leftmost_longest(texts, g.entries)]
             assert got == expected
@@ -213,11 +229,11 @@ class TestFindMentions:
             ("c",): {"t"},
         }
         s = make_sentence("a b c a b c")
-        full = find_mentions(s, Gazetteer(entries), TypeHierarchy())
+        full = find_mentions(s, Gazetteer(entries))
         max_len = max(m.end - m.start for m in full)
         for surface in entries:
             reduced = {k: v for k, v in entries.items() if k != surface}
-            mentions = find_mentions(s, Gazetteer(reduced), TypeHierarchy())
+            mentions = find_mentions(s, Gazetteer(reduced))
             if mentions:
                 assert max(m.end - m.start for m in mentions) <= max_len
 
@@ -225,28 +241,28 @@ class TestFindMentions:
 class TestPreAnnotate:
     def test_no_matches_no_hyperlinks(self):
         s = make_sentence("just plain words")
-        tags, flags = pre_annotate(s, Gazetteer(), TypeHierarchy())
+        tags, flags = pre_annotate(s, Gazetteer())
         assert tags == ["O", "O", "O"]
         assert flags == set()
 
     def test_bio_construction(self):
         g = Gazetteer({("Brand", "Nubian"): {"band"}})
         s = make_sentence("guest appearance by rappers of Brand Nubian today")
-        tags, _ = pre_annotate(s, g, TypeHierarchy())
+        tags, _ = pre_annotate(s, g)
         assert tags[5] == "B-band"
         assert tags[6] == "I-band"
         assert all(t == "O" for i, t in enumerate(tags) if i not in (5, 6))
 
     def test_unmatched_hyperlink_flagged(self):
         s = Sentence("d", 0, ("a", "b", "linked", "c"), links=frozenset({2}))
-        tags, flags = pre_annotate(s, Gazetteer(), TypeHierarchy())
+        tags, flags = pre_annotate(s, Gazetteer())
         assert tags[2] == "O"
         assert flags == {2}
 
     def test_matched_hyperlink_not_flagged(self):
         s = Sentence("d", 0, ("Nirvana", "played"), links=frozenset({0}))
         g = Gazetteer({("Nirvana",): {"band"}})
-        _, flags = pre_annotate(s, g, TypeHierarchy())
+        _, flags = pre_annotate(s, g)
         assert flags == set()
 
     def test_tags_always_valid_bio(self, rng):
@@ -257,5 +273,5 @@ class TestPreAnnotate:
                 for _ in range(rng.randint(0, 5))
             }
             s = make_sentence(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
-            tags, _ = pre_annotate(s, Gazetteer(entries), TypeHierarchy())
+            tags, _ = pre_annotate(s, Gazetteer(entries))
             assert validate_bio(tags) == []

@@ -4,12 +4,12 @@ import pytest
 
 from conftest import make_labeled, random_bio_tags
 from xner.errors import DataError
+from xner.gazetteer import mentions_to_bio
 from xner.nerdata import (
     JointConfig,
     LabeledSentence,
     build_joint,
     dataset_stats,
-    entities_to_tags,
     extract_entities,
     parse_conll,
     serialize_conll,
@@ -123,7 +123,7 @@ class TestExtractEntities:
             tags = random_bio_tags(rng, length, ["a", "b", "c"])
             s = make_labeled(" ".join("w" for _ in range(length)), tags)
             mentions = extract_entities(s)
-            assert tuple(entities_to_tags(mentions, length)) == s.tags
+            assert tuple(mentions_to_bio(mentions, length)) == s.tags
 
 
 class TestLabeledSentence:

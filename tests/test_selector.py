@@ -1,19 +1,18 @@
 import pytest
 
 from conftest import make_sentence
+from xner.corpus import Document
 from xner.errors import DataError
-from xner.gazetteer import Gazetteer, TypeHierarchy
+from xner.gazetteer import Gazetteer
+from xner.pipelines import select_documents
 from xner.seeding import unit_interval
 from xner.selector import (
     SelectorConfig,
-    build_integrated,
     load_external_mentions,
     sample_fraction,
     select_entity_level,
     select_task_level,
 )
-
-H = TypeHierarchy()
 
 
 def gazetteer():
@@ -43,12 +42,12 @@ class TestSelectorConfig:
 
 class TestEntityLevel:
     def test_zero_mentions_excluded(self):
-        out = list(select_entity_level([make_sentence("nothing here")], gazetteer(), H))
+        out = list(select_entity_level([make_sentence("nothing here")], gazetteer()))
         assert out == []
 
     def test_threshold_boundary_included(self):
         s = make_sentence("Nirvana recorded Nevermind")
-        assert list(select_entity_level([s], gazetteer(), H)) == [s]
+        assert list(select_entity_level([s], gazetteer())) == [s]
 
     def test_hand_counted_fixture(self):
         sentences = [
@@ -58,12 +57,12 @@ class TestEntityLevel:
             make_sentence("Nirvana recorded Nevermind in Seattle", index=3),
             make_sentence("Seattle is rainy", index=4),
         ]
-        out = list(select_entity_level(sentences, gazetteer(), H))
+        out = list(select_entity_level(sentences, gazetteer()))
         assert [s.index for s in out] == [2, 3]
 
     def test_output_is_ordered_subset(self):
         sentences = [make_sentence("Nirvana recorded Nevermind", index=i) for i in range(5)]
-        out = list(select_entity_level(sentences, gazetteer(), H))
+        out = list(select_entity_level(sentences, gazetteer()))
         assert out == sentences
 
     def test_external_mentions(self, tmp_path):
@@ -74,7 +73,7 @@ class TestEntityLevel:
         )
         mentions = load_external_mentions(path)
         s = make_sentence("anything at all")
-        out = list(select_entity_level([s], None, H, mentions=mentions))
+        out = list(select_entity_level([s], None, mentions=mentions))
         assert out == [s]
         assert mentions[("d", 0)][0].source == "external"
 
@@ -88,57 +87,68 @@ class TestEntityLevel:
 class TestTaskLevel:
     def test_non_specialized_mentions_excluded(self):
         s = make_sentence("Kurt Cobain lived in Seattle")
-        out = list(select_task_level([s], gazetteer(), H))
+        out = list(select_task_level([s], gazetteer()))
         assert out == []
 
     def test_one_specialized_mention_included(self):
         s = make_sentence("Nirvana played")
-        assert list(select_task_level([s], gazetteer(), H)) == [s]
+        assert list(select_task_level([s], gazetteer())) == [s]
 
     def test_task_level_not_nested_in_entity_level(self):
         # one specialized mention: passes task-level, fails entity-level
         s = make_sentence("Nirvana played")
-        assert list(select_task_level([s], gazetteer(), H)) == [s]
-        assert list(select_entity_level([s], gazetteer(), H)) == []
+        assert list(select_task_level([s], gazetteer())) == [s]
+        assert list(select_entity_level([s], gazetteer())) == []
 
     def test_empty_specialized_types_is_error(self):
         g = Gazetteer({("Nirvana",): {"band"}})
         with pytest.raises(ValueError, match="specialized"):
-            list(select_task_level([make_sentence("Nirvana played")], g, H))
+            list(select_task_level([make_sentence("Nirvana played")], g))
 
 
 class TestBuildIntegrated:
+    """The integrated level of select_documents: entity groups, then task
+    groups cfg.task_upsample times."""
+
+    @staticmethod
+    def _integrated(entity_lengths, task_lengths, cfg=SelectorConfig()):
+        # One sentence per document, of the given token lengths: two "E"
+        # mentions make it entity-level only, one "T" makes it task-level only.
+        g = Gazetteer(
+            {("E",): {"plain"}, ("T",): {"special"}}, specialized_types={"special"}
+        )
+        docs = [
+            Document(f"e{i}", "", (" ".join(["E", "E"] + ["w"] * (n - 2)),))
+            for i, n in enumerate(entity_lengths)
+        ] + [
+            Document(f"t{i}", "", (" ".join(["T"] + ["w"] * (n - 1)),))
+            for i, n in enumerate(task_lengths)
+        ]
+        return [
+            line for group in select_documents(docs, "integrated", g, cfg) for line in group
+        ]
+
     def test_token_identity(self):
-        entity = [make_sentence("a b c d e f g h i j", index=i) for i in range(10)]
-        task = [make_sentence("x y z w v u q r s t", index=i) for i in range(3)]
-        out = list(build_integrated(entity, task, SelectorConfig()))
+        out = self._integrated([10] * 10, [10] * 3)
         assert len(out) == 16
-        assert sum(len(s) for s in out) == 160
+        assert sum(len(line.split()) for line in out) == 160
 
     def test_empty_task(self):
-        entity = [make_sentence("a b", index=i) for i in range(4)]
-        out = list(build_integrated(entity, [], SelectorConfig()))
-        assert out == entity
+        out = self._integrated([2] * 4, [])
+        assert out == ["E E"] * 4
 
     def test_upsample_factor(self):
-        task = [make_sentence("x y", index=0)]
-        out = list(build_integrated([], task, SelectorConfig(task_upsample=5)))
-        assert len(out) == 5
+        out = self._integrated([], [1], SelectorConfig(task_upsample=5))
+        assert out == ["T"] * 5
 
     def test_identity_on_random_corpora(self, rng):
         for _ in range(50):
-            entity = [
-                make_sentence(" ".join("w" for _ in range(rng.randint(1, 20))), index=i)
-                for i in range(rng.randint(0, 30))
-            ]
-            task = [
-                make_sentence(" ".join("w" for _ in range(rng.randint(1, 20))), index=i)
-                for i in range(rng.randint(0, 10))
-            ]
+            entity = [rng.randint(2, 20) for _ in range(rng.randint(0, 30))]
+            task = [rng.randint(1, 20) for _ in range(rng.randint(0, 10))]
             upsample = rng.randint(1, 4)
-            out = list(build_integrated(entity, task, SelectorConfig(task_upsample=upsample)))
-            assert sum(len(s) for s in out) == (
-                sum(len(s) for s in entity) + upsample * sum(len(s) for s in task)
+            out = self._integrated(entity, task, SelectorConfig(task_upsample=upsample))
+            assert sum(len(line.split()) for line in out) == (
+                sum(entity) + upsample * sum(task)
             )
 
 
