@@ -1,9 +1,11 @@
 """Single executable exposing every pipeline with reproducible configuration.
 
 Prints a machine-readable JSON summary on stdout and human logs on
-stderr. Exit codes: 0 success, 1 usage error, 2 data error. Every run
-with identical flags and inputs produces byte-identical outputs; seeds
-are flags, never wall-clock, and --workers only changes the runtime.
+stderr. Exit codes: 0 success, 1 usage error, 2 data error or crashed
+worker, 130 interrupted. Every run with identical flags and inputs
+produces byte-identical outputs; seeds are flags, never wall-clock, and
+--workers only changes the runtime. An output file is replaced only when
+its command succeeds.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import argparse
 import json
 import os
 import sys
+import tempfile
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 
 from xner.corpus import load_corpus, split_text
 from xner.errors import DataError, UsageError, open_text
@@ -27,11 +32,11 @@ from xner.nerdata import (
     subsample,
 )
 from xner.pipelines import (
-    mask_documents,
-    pre_annotate_documents,
     select_documents,
     stats_documents,
     write_groups,
+    write_masked,
+    write_pre_annotated,
 )
 from xner.selector import SelectorConfig, load_external_mentions
 
@@ -131,6 +136,34 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, ensure_ascii=False))
 
 
+@contextmanager
+def _output(path):
+    """A UTF-8 text file that replaces path when the block succeeds.
+
+    It is written as a temporary file in path's directory; on any error
+    that file is removed and path is left untouched. A symlink, device
+    or pipe (such as /dev/stdout) is written through, in place.
+    """
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+        dir=os.path.dirname(os.path.abspath(path)),
+    )
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # what open(path, "w") would create
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _workers(args) -> int:
     n = args.workers if args.workers is not None else _default_workers()
     if n < 1:
@@ -177,13 +210,10 @@ def _cmd_extract(args) -> None:
             seed=args.seed,
             workers=_workers(args),
         )
-    except DataError:
-        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    with open(args.output, "w", encoding="utf-8") as fh:
-        sentences = write_groups(groups, fh)
-    tokens = sum(len(line.split()) for group in groups for line in group)
+    with _output(args.output) as fh:
+        sentences, tokens = write_groups(groups, fh)
     _log(f"wrote {sentences} sentences to {args.output}")
     _emit({"level": args.level, "sentences": sentences, "tokens": tokens})
 
@@ -198,6 +228,7 @@ def _cmd_mask(args) -> None:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    workers = _workers(args)
     _log("building replacement vocabulary")
     vocabulary = build_vocabulary(
         (
@@ -208,15 +239,12 @@ def _cmd_mask(args) -> None:
         ),
         args.vocab_size,
     )
-    lines, targets = mask_documents(
-        load_corpus(args.input, args.format), cfg, vocabulary, _workers(args)
-    )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    _log(f"wrote {len(lines)} examples to {args.output}")
-    _emit({"strategy": args.strategy, "sentences": len(lines), "targets": targets})
+    with _output(args.output) as fh:
+        examples, targets = write_masked(
+            load_corpus(args.input, args.format), cfg, vocabulary, fh, workers
+        )
+    _log(f"wrote {examples} examples to {args.output}")
+    _emit({"strategy": args.strategy, "sentences": examples, "targets": targets})
 
 
 def _cmd_ner_stats(args) -> None:
@@ -246,7 +274,7 @@ def _cmd_eval(args) -> None:
         summary["from"] = from_type
         summary["to"] = to_type
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _output(args.output) as fh:
             json.dump(report.as_dict(), fh, ensure_ascii=False, indent=2)
         _log(f"wrote full report to {args.output}")
     _emit(summary)
@@ -276,11 +304,11 @@ def _cmd_overlap(args) -> None:
 
 def _cmd_pre_annotate(args) -> None:
     gazetteer = load_gazetteer(args.gazetteer, hierarchy=_load_hierarchy(args.hierarchy))
-    texts, sentences, flagged = pre_annotate_documents(
-        load_corpus(args.input, args.format), gazetteer, _workers(args)
-    )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.writelines(texts)
+    workers = _workers(args)
+    with _output(args.output) as fh:
+        sentences, flagged = write_pre_annotated(
+            load_corpus(args.input, args.format), gazetteer, fh, workers
+        )
     _log(f"pre-annotated {sentences} sentences to {args.output}")
     _emit({"sentences": sentences, "review_flags": flagged})
 
@@ -290,7 +318,7 @@ def _cmd_subsample(args) -> None:
     if not 0 <= args.n <= len(train):
         raise UsageError(f"--n must be in [0, {len(train)}]")
     sample = subsample(train, args.n, args.seed)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _output(args.output) as fh:
         serialize_conll(sample, fh)
     _emit({"sampled": len(sample), "from": len(train), "seed": args.seed})
 
@@ -303,7 +331,7 @@ def _cmd_joint(args) -> None:
     source = parse_conll(args.source)
     target = parse_conll(args.target)
     joint = build_joint(source, target, cfg)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _output(args.output) as fh:
         serialize_conll(joint, fh)
     _emit({
         "source": len(source),
@@ -337,6 +365,12 @@ def run(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"xner: data error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:
+        print(f"xner: worker process died: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("xner: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

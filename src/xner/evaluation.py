@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from xner.errors import DataError
-from xner.nerdata import LabeledSentence, extract_entities
+from xner.nerdata import LabeledSentence, entity_spans
 
 # Small built-in English stopword list for vocabulary construction; a
 # caller-supplied set takes precedence.
@@ -114,13 +114,8 @@ def score(
     correct_counts: Counter = Counter()
     confusion: Counter = Counter()
     for g_sentence, p_sentence in zip(gold, pred):
-        g_mentions = {
-            (m.start, m.end): m.entity_type for m in extract_entities(g_sentence)
-        }
-        p_mentions = {
-            (m.start, m.end): m.entity_type for m in extract_entities(p_sentence)
-        }
-        for span, g_type in g_mentions.items():
+        p_mentions = entity_spans(p_sentence.tags)
+        for span, g_type in entity_spans(g_sentence.tags).items():
             gold_counts[g_type] += 1
             p_type = p_mentions.get(span)
             if p_type == g_type:

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from sys import intern
 from typing import Iterable, Sequence
 
 from xner.corpus import check_tokens
 from xner.errors import DataError, open_text
-from xner.gazetteer import EntityMention
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,11 @@ def validate_bio(tags: Sequence[str]) -> list[int]:
 
 def parse_conll(path) -> list[LabeledSentence]:
     """Parse a CoNLL file: one "token tag" (space or tab) line per token,
-    blank line between sentences, -DOCSTART- lines skipped."""
+    blank line between sentences, -DOCSTART- lines skipped.
+
+    Tokens and tags are interned, so a gold and a predicted file share
+    their strings and aligned tokens compare by identity.
+    """
     sentences: list[LabeledSentence] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -104,7 +108,9 @@ def parse_conll(path) -> list[LabeledSentence]:
                     f"{path}:{start_line + bad[0]}: invalid BIO tag "
                     f"{tags[bad[0]]!r} at sentence position {bad[0]}"
                 )
-            sentences.append(LabeledSentence(tuple(tokens), tuple(tags)))
+            sentences.append(
+                LabeledSentence(tuple(map(intern, tokens)), tuple(map(intern, tags)))
+            )
         tokens.clear()
         tags.clear()
 
@@ -136,43 +142,30 @@ def serialize_conll(sentences: Iterable[LabeledSentence], fh) -> None:
         fh.write("\n")
 
 
-def extract_entities(
-    sentence: LabeledSentence, doc_id: str = "", sentence_index: int = 0
-) -> list[EntityMention]:
-    """Maximal B-/I- runs as gold mentions with [start, end) token spans."""
-    mentions = []
+def entity_spans(tags: Sequence[str]) -> dict[tuple[int, int], str]:
+    """Maximal B-/I- runs of a tag sequence as {(start, end): type}, with
+    [start, end) token spans in sentence order."""
+    spans = {}
     start = None
-    current = None
-    for i, tag in enumerate(sentence.tags):
+    for i, tag in enumerate(tags):
         if tag.startswith("B-"):
             if start is not None:
-                mentions.append(
-                    EntityMention(doc_id, sentence_index, start, i, current, "gold")
-                )
+                spans[start, i] = current
             start, current = i, tag[2:]
-        elif tag.startswith("I-"):
-            continue
-        else:
-            if start is not None:
-                mentions.append(
-                    EntityMention(doc_id, sentence_index, start, i, current, "gold")
-                )
-            start = current = None
+        elif start is not None and not tag.startswith("I-"):
+            spans[start, i] = current
+            start = None
     if start is not None:
-        mentions.append(
-            EntityMention(
-                doc_id, sentence_index, start, len(sentence.tags), current, "gold"
-            )
-        )
-    return mentions
+        spans[start, len(tags)] = current
+    return spans
 
 
 def dataset_stats(split: Sequence[LabeledSentence]) -> SplitStats:
     """Sentence count plus per-type mention counts and percentages."""
     counts: dict[str, int] = {}
     for sentence in split:
-        for mention in extract_entities(sentence):
-            counts[mention.entity_type] = counts.get(mention.entity_type, 0) + 1
+        for entity_type in entity_spans(sentence.tags).values():
+            counts[entity_type] = counts.get(entity_type, 0) + 1
     total = sum(counts.values())
     per_type = {
         t: (c, 100.0 * c / total if total else 0.0) for t, c in counts.items()

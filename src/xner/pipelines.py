@@ -4,15 +4,20 @@ Work is split by document across a process pool and merged back in
 document order. Because every per-sentence decision is keyed on a stable
 hash rather than shared RNG state, the worker count never changes a
 single output byte, only the runtime.
+
+Results stream: each pipeline writes a document's output as soon as its
+result arrives, so no command holds a whole corpus or a whole output.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import signal
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from xner.corpus import CorpusStats, Document, corpus_stats, segment
 from xner.gazetteer import Gazetteer, pre_annotate
@@ -35,75 +40,102 @@ _pool_worker = None
 def _set_pool_worker(worker) -> None:
     global _pool_worker
     _pool_worker = worker
+    # Ctrl-C is the parent's to handle: it cancels the rest of the corpus.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _call_pool_worker(doc: Document):
     return _pool_worker(doc)
 
 
-def map_documents(worker, documents: Iterable[Document], workers: int) -> list:
-    """Apply worker to each document, preserving document order.
+def map_documents(worker, documents: Iterable[Document], workers: int) -> Iterator:
+    """Lazily apply worker to each document, yielding results in document order.
 
     The worker (and the gazetteer or vocabulary bound into it) reaches
     each pool process once, through the initializer, not with every chunk.
     """
+    if workers <= 1:
+        return map(worker, documents)
+    return _map_pooled(worker, documents, workers)
+
+
+def _map_pooled(worker, documents: Iterable[Document], workers: int) -> Iterator:
+    # ProcessPoolExecutor.map submits every chunk at once, so the corpus is
+    # listed here anyway; only the results stream.
     docs = list(documents)
-    if workers <= 1 or len(docs) <= 1:
-        return [worker(d) for d in docs]
+    if len(docs) <= 1:
+        yield from map(worker, docs)
+        return
     chunksize = max(1, math.ceil(len(docs) / (workers * 4)))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_pool_worker, initargs=(worker,)
     ) as pool:
-        return list(pool.map(_call_pool_worker, docs, chunksize=chunksize))
+        results = pool.map(_call_pool_worker, docs, chunksize=chunksize)
+        del docs  # submitted: each chunk's documents are freed when it finishes
+        try:
+            yield from results
+        except BaseException:
+            # An error, Ctrl-C or an abandoned stream: do not finish the corpus.
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _write_texts(results: Iterable[tuple[str, int, int]], fh) -> tuple[int, int]:
+    """Write each document's text as its result arrives; sum the two counts."""
+    total_a = total_b = 0
+    for text, a, b in results:
+        fh.write(text)
+        total_a += a
+        total_b += b
+    return total_a, total_b
 
 
 def _mask_doc(
     doc: Document, cfg: MaskingConfig, vocabulary: Sequence[str]
-) -> tuple[list[str], int]:
+) -> tuple[str, int, int]:
     lines = []
     targets = 0
     for example in mask_corpus(segment(doc), cfg, vocabulary):
-        lines.append(json.dumps(example.to_record(), ensure_ascii=False))
+        lines.append(json.dumps(example.to_record(), ensure_ascii=False) + "\n")
         targets += len(example.targets)
-    return lines, targets
+    return "".join(lines), len(lines), targets
 
 
-def mask_documents(
+def write_masked(
     documents: Iterable[Document],
     cfg: MaskingConfig,
     vocabulary: Sequence[str],
+    fh,
     workers: int = 1,
-) -> tuple[list[str], int]:
-    """JSONL lines of masked examples in corpus order, and their target count."""
+) -> tuple[int, int]:
+    """Write masked examples to fh as JSONL in corpus order: (examples, targets)."""
     worker = partial(_mask_doc, cfg=cfg, vocabulary=vocabulary)
-    results = map_documents(worker, documents, workers)
-    return (
-        [line for lines, _ in results for line in lines],
-        sum(targets for _, targets in results),
-    )
+    return _write_texts(map_documents(worker, documents, workers), fh)
 
 
 def _select_doc(
     doc: Document,
+    level: str,
     gazetteer: Gazetteer | None,
     cfg: SelectorConfig,
-    need_task: bool,
     mentions: MentionIndex | None,
     specialized_types,
     percent: float | None,
     seed: int,
-) -> tuple[list[str], list[str]]:
+):
+    """The document's entity lines, task lines, or both for "integrated"."""
     sentences = segment(doc)
     if percent is not None:
         sentences = list(sample_fraction(sentences, percent, seed))
-    entity = [s.text() for s in select_entity_level(sentences, gazetteer, cfg, mentions)]
-    task = []
-    if need_task:
-        task = [
-            s.text()
-            for s in select_task_level(sentences, gazetteer, cfg, mentions, specialized_types)
-        ]
-    return entity, task
+    if level != "task":
+        entity = [s.text() for s in select_entity_level(sentences, gazetteer, cfg, mentions)]
+        if level == "entity":
+            return entity
+    task = [
+        s.text()
+        for s in select_task_level(sentences, gazetteer, cfg, mentions, specialized_types)
+    ]
+    return task if level == "task" else (entity, task)
 
 
 def select_documents(
@@ -116,12 +148,13 @@ def select_documents(
     percent: float | None = None,
     seed: int = 0,
     workers: int = 1,
-) -> list[list[str]]:
-    """Selected sentence lines grouped by document.
+) -> Iterator[list[str]]:
+    """Selected sentence lines grouped by document, as a lazy stream.
 
-    level "entity" or "task" yields one group per contributing document;
-    "integrated" yields the entity groups followed by the task groups
-    repeated cfg.task_upsample times, so token counts satisfy
+    The options are checked here, before any document is read. level
+    "entity" or "task" yields one group per document; "integrated" yields
+    the entity groups followed by the task groups repeated
+    cfg.task_upsample times, so token counts satisfy
     tokens(integrated) = tokens(entity) + task_upsample * tokens(task).
     """
     if level not in LEVELS:
@@ -139,22 +172,54 @@ def select_documents(
         specialized_types = specialized
     worker = partial(
         _select_doc,
+        level=level,
         gazetteer=gazetteer,
         cfg=cfg,
-        need_task=level in ("task", "integrated"),
         mentions=mentions,
         specialized_types=specialized_types,
         percent=percent,
         seed=seed,
     )
     results = map_documents(worker, documents, workers)
-    entity_groups = [entity for entity, _ in results]
-    task_groups = [task for _, task in results]
-    if level == "entity":
-        return entity_groups
-    if level == "task":
-        return task_groups
-    return entity_groups + task_groups * cfg.task_upsample
+    if level == "integrated":
+        return _integrated(results, cfg.task_upsample)
+    return results
+
+
+def _integrated(results: Iterator[tuple[list[str], list[str]]], replays: int):
+    """Entity groups as they arrive, then the task groups replays times,
+    spooled to an anonymous temporary file as one tab-joined line per
+    group (tokens never contain whitespace)."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        for entity, task in results:
+            yield entity
+            if task:
+                spool.write("\t".join(task))
+                spool.write("\n")
+        for _ in range(replays):
+            spool.seek(0)
+            for line in spool:
+                yield line[:-1].split("\t")
+
+
+def write_groups(groups: Iterable[list[str]], fh) -> tuple[int, int]:
+    """Write sentence groups as plain text with blank lines between documents.
+
+    Empty groups are skipped. Returns the number of sentences and tokens
+    written.
+    """
+    sentences = tokens = 0
+    for group in groups:
+        if not group:
+            continue
+        if sentences:
+            fh.write("\n")
+        text = "\n".join(group)
+        fh.write(text)
+        fh.write("\n")
+        sentences += len(group)
+        tokens += text.count(" ") + len(group)
+    return sentences, tokens
 
 
 def _annotate_doc(doc: Document, gazetteer: Gazetteer) -> tuple[str, int, int]:
@@ -169,46 +234,18 @@ def _annotate_doc(doc: Document, gazetteer: Gazetteer) -> tuple[str, int, int]:
     return "".join(lines), len(sentences), flagged
 
 
-def pre_annotate_documents(
-    documents: Iterable[Document], gazetteer: Gazetteer, workers: int = 1
-) -> tuple[list[str], int, int]:
-    """CoNLL text of each document in corpus order, the sentence count and
-    the review-flag count."""
-    results = map_documents(partial(_annotate_doc, gazetteer=gazetteer), documents, workers)
-    return (
-        [text for text, _, _ in results],
-        sum(sentences for _, sentences, _ in results),
-        sum(flagged for _, _, flagged in results),
-    )
-
-
-def write_groups(groups: Iterable[list[str]], fh) -> int:
-    """Write sentence groups as plain text with blank lines between documents.
-
-    Empty groups are skipped. Returns the number of sentences written.
-    """
-    written = 0
-    first = True
-    for group in groups:
-        if not group:
-            continue
-        if not first:
-            fh.write("\n")
-        for line in group:
-            fh.write(line)
-            fh.write("\n")
-            written += 1
-        first = False
-    return written
+def write_pre_annotated(
+    documents: Iterable[Document], gazetteer: Gazetteer, fh, workers: int = 1
+) -> tuple[int, int]:
+    """Write the CoNLL pre-annotation of documents to fh in corpus order:
+    (sentences, review flags)."""
+    worker = partial(_annotate_doc, gazetteer=gazetteer)
+    return _write_texts(map_documents(worker, documents, workers), fh)
 
 
 def stats_documents(documents: Iterable[Document], workers: int = 1) -> CorpusStats:
     """Corpus stats, shardable by document with associative merge."""
-    results = map_documents(_doc_stats, documents, workers)
-    total = CorpusStats()
-    for stats in results:
-        total = total + stats
-    return total
+    return sum(map_documents(_doc_stats, documents, workers), CorpusStats())
 
 
 def _doc_stats(doc: Document) -> CorpusStats:

@@ -4,6 +4,7 @@ One test per criterion; each prints a single PASS/FAIL line (run with -s
 to see them on success). Timed criteria assert their wall-clock budget.
 """
 
+import io
 import json
 import os
 import random
@@ -21,7 +22,7 @@ from xner.evaluation import score, vocab_overlap
 from xner.gazetteer import Gazetteer, TypeHierarchy, find_mentions, resolve_type
 from xner.masker import MaskingConfig, apply_replacements, spanify
 from xner.nerdata import dataset_stats, parse_conll
-from xner.pipelines import mask_documents, select_documents, write_groups
+from xner.pipelines import select_documents, write_groups, write_masked
 from xner.selector import SelectorConfig, select_entity_level
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -281,15 +282,14 @@ def test_09_determinism_under_parallelism():
         cfg = MaskingConfig(seed=9)
         vocabulary = [f"word{i}" for i in range(50)]
         start = time.perf_counter()
-        masked = {
-            workers: "\n".join(mask_documents(docs, cfg, vocabulary, workers)[0])
-            for workers in (1, 8)
-        }
+        masked = {}
+        for workers in (1, 8):
+            buffer = io.StringIO()
+            write_masked(docs, cfg, vocabulary, buffer, workers)
+            masked[workers] = buffer.getvalue()
         assert masked[1].encode() == masked[8].encode()
         extracted = {}
         for workers in (1, 8):
-            import io
-
             buffer = io.StringIO()
             groups = select_documents(
                 docs, "integrated", gazetteer, workers=workers

@@ -1,7 +1,12 @@
 import json
+import multiprocessing
+import os
+import stat
+import threading
 
 import pytest
 
+from xner import pipelines
 from xner.cli import run
 
 
@@ -370,3 +375,133 @@ class TestOverlapAndPreAnnotate:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+@pytest.fixture
+def third_record_malformed(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps({"id": "d", "text": "Nirvana recorded Nevermind in Seattle. "
+                       "Kurt Cobain wrote most songs for Nirvana and Nevermind."})
+    path.write_text(f"{good}\n{good}\n{{\"id\": \"d2\", \"text\": \n{good}\n")
+    return path
+
+
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+class TestFailedRuns:
+    """A failed run exits cleanly and leaves its output file as it was."""
+
+    @staticmethod
+    def _previous_output(tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "result"
+        out.write_bytes(b"previous output\n")
+        return out
+
+    @staticmethod
+    def _assert_untouched(out):
+        assert out.read_bytes() == b"previous output\n"
+        assert os.listdir(out.parent) == [out.name]
+
+    @pytest.mark.parametrize("command", [
+        ["mask"],
+        ["extract", "--level", "integrated", "--gazetteer", "G", "--specialized", "S"],
+        ["pre-annotate", "--gazetteer", "G"],
+    ])
+    def test_malformed_record_keeps_previous_output(
+        self, capsys, tmp_path, third_record_malformed, gazetteer_file,
+        specialized_file, command,
+    ):
+        out = self._previous_output(tmp_path)
+        files = {"G": str(gazetteer_file), "S": str(specialized_file)}
+        code, out_text, err = run_cli(
+            capsys, *[files.get(arg, arg) for arg in command],
+            "--input", str(third_record_malformed), "--format", "jsonl",
+            "--workers", "1", "--output", str(out),
+        )
+        assert code == 2
+        assert out_text == ""
+        assert f"data error: {third_record_malformed}:3: invalid JSON" in err
+        assert "Traceback" not in err
+        self._assert_untouched(out)
+
+    def test_success_replaces_output_with_default_mode(
+        self, capsys, tmp_path, music_corpus
+    ):
+        out = self._previous_output(tmp_path)
+        code, _, _ = run_cli(
+            capsys, "mask", "--input", str(music_corpus), "--workers", "1",
+            "--output", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes().startswith(b'{"doc_id"')
+        assert os.listdir(out.parent) == [out.name]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_symlink_and_fifo_outputs_are_written_through(
+        self, capsys, tmp_path, music_corpus
+    ):
+        target = tmp_path / "target.jsonl"
+        target.write_text("old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        for out in (link, fifo):
+            code, _, _ = run_cli(
+                capsys, "mask", "--input", str(music_corpus), "--workers", "1",
+                "--output", str(out),
+            )
+            assert code == 0
+        reader.join(timeout=10)
+        assert link.is_symlink()
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert received == [target.read_bytes()]
+        assert target.read_bytes().startswith(b'{"doc_id"')
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched worker reaches pool processes only when they fork",
+    )
+    def test_crashed_worker_exits_2_in_one_line(
+        self, capsys, monkeypatch, tmp_path, music_corpus
+    ):
+        monkeypatch.setattr(pipelines, "_mask_doc", _die)
+        out = self._previous_output(tmp_path)
+        code, _, err = run_cli(
+            capsys, "mask", "--input", str(music_corpus), "--workers", "2",
+            "--output", str(out),
+        )
+        assert code == 2
+        assert err.count("\n") == 2  # the vocabulary log line and the error
+        assert "xner: worker process died:" in err
+        assert "Traceback" not in err
+        self._assert_untouched(out)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_interrupt_exits_130(self, capsys, monkeypatch, tmp_path, music_corpus, workers):
+        monkeypatch.setattr(pipelines, "_mask_doc", _interrupt)
+        out = self._previous_output(tmp_path)
+        code, out_text, err = run_cli(
+            capsys, "mask", "--input", str(music_corpus), "--workers", workers,
+            "--output", str(out),
+        )
+        assert code == 130
+        assert out_text == ""
+        assert err.endswith("xner: interrupted\n")
+        assert "Traceback" not in err
+        self._assert_untouched(out)

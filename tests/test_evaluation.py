@@ -2,6 +2,7 @@ import pytest
 
 from conftest import make_labeled, random_bio_tags
 from ref_conlleval import evaluate as ref_evaluate
+from ref_nerdata import extract_entities
 from xner.errors import DataError
 from xner.evaluation import (
     DEFAULT_STOPWORDS,
@@ -9,7 +10,6 @@ from xner.evaluation import (
     score,
     vocab_overlap,
 )
-from xner.nerdata import extract_entities
 
 
 def oracle_score(gold, pred):

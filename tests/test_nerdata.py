@@ -1,8 +1,11 @@
 import io
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_labeled, random_bio_tags
+from ref_nerdata import extract_entities
 from xner.errors import DataError
 from xner.gazetteer import mentions_to_bio
 from xner.nerdata import (
@@ -10,7 +13,7 @@ from xner.nerdata import (
     LabeledSentence,
     build_joint,
     dataset_stats,
-    extract_entities,
+    entity_spans,
     parse_conll,
     serialize_conll,
     subsample,
@@ -124,6 +127,42 @@ class TestExtractEntities:
             s = make_labeled(" ".join("w" for _ in range(length)), tags)
             mentions = extract_entities(s)
             assert tuple(mentions_to_bio(mentions, length)) == s.tags
+
+
+def _oracle_spans(tags):
+    mentions = extract_entities(SimpleNamespace(tags=tags))
+    return [(m.start, m.end, m.entity_type) for m in mentions]
+
+
+class TestEntitySpans:
+    """entity_spans against the reference extract_entities."""
+
+    def test_matches_reference_on_valid_bio(self, rng):
+        for _ in range(2000):
+            tags = random_bio_tags(rng, rng.randint(0, 15), ["a", "b", "c"])
+            spans = [(s, e, t) for (s, e), t in entity_spans(tags).items()]
+            assert spans == _oracle_spans(tags)
+
+    @given(st.lists(st.sampled_from(["O", "B-a", "B-b", "I-a", "I-b", "B-", "X"]), max_size=20))
+    def test_matches_reference_on_any_tags(self, tags):
+        spans = [(s, e, t) for (s, e), t in entity_spans(tags).items()]
+        assert spans == _oracle_spans(tags)
+
+    def test_i_after_o_and_type_change(self):
+        assert entity_spans(["O", "I-a", "B-a", "I-b", "O", "B-b"]) == {
+            (2, 4): "a", (5, 6): "b",
+        }
+
+
+class TestParseConllInterning:
+    def test_gold_and_pred_share_strings(self, tmp_path):
+        gold = tmp_path / "gold.conll"
+        pred = tmp_path / "pred.conll"
+        gold.write_text("Kurt B-person\nCobain I-person\nsang O\n")
+        pred.write_text("Kurt B-band\nCobain I-band\nsang O\n")
+        [g], [p] = parse_conll(gold), parse_conll(pred)
+        assert all(a is b for a, b in zip(g.tokens, p.tokens))
+        assert g.tags[2] is p.tags[2]
 
 
 class TestLabeledSentence:
