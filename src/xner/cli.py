@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
@@ -142,8 +143,15 @@ def _output(path):
 
     It is written as a temporary file in path's directory; on any error
     that file is removed and path is left untouched. A symlink, device
-    or pipe (such as /dev/stdout) is written through, in place.
+    or pipe (such as /dev/stdout) is written through, in place; the
+    regular file that stdout is redirected to is written through stdout's
+    own file description, so the data and then the summary land in order.
     """
+    if _is_stdout_file(path):
+        sys.stdout.flush()
+        with open(os.dup(1), "w", encoding="utf-8") as fh:
+            yield fh
+        return
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
@@ -162,6 +170,14 @@ def _output(path):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _is_stdout_file(path) -> bool:
+    try:
+        out, target = os.fstat(1), os.stat(path)
+    except OSError:
+        return False
+    return stat.S_ISREG(out.st_mode) and os.path.samestat(out, target)
 
 
 def _workers(args) -> int:

@@ -8,7 +8,7 @@ entry) and stays practical on corpora of 10^8 tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from xner.corpus import Sentence, split_text
 from xner.errors import DataError, open_text
@@ -80,46 +80,59 @@ class TypeHierarchy:
 
 
 class Gazetteer:
-    """Surface-form dictionary mapping token sequences to entity-type sets.
+    """Surface-form dictionary of token sequences, stored as a token trie.
 
+    entries is a mapping from surface to types, or an iterable of
+    (surface, types) rows; rows with the same surface merge their types.
     Each trie terminal holds the entry's type resolved once, here, under
     the hierarchy (politician beats person), so matching never resolves.
     """
 
     def __init__(
         self,
-        entries: Mapping[Sequence[str], Iterable[str]] | None = None,
+        entries: Mapping[Sequence[str], Iterable[str]]
+        | Iterable[tuple[Sequence[str], Iterable[str]]] = (),
         specialized_types: Iterable[str] = (),
         hierarchy: TypeHierarchy | None = None,
     ):
-        self.entries: dict[tuple[str, ...], frozenset[str]] = {}
-        for surface, types in (entries or {}).items():
+        rows = entries.items() if isinstance(entries, Mapping) else entries
+        self._trie: dict = {}
+        terminals = []
+        type_sets: dict[frozenset[str], frozenset[str]] = {}
+        for surface, types in rows:
             surface, types = tuple(surface), frozenset(types)
             if not surface or not all(surface):
                 raise ValueError(f"empty gazetteer surface form: {surface!r}")
             if not types:
                 raise ValueError(f"gazetteer entry without types: {surface!r}")
-            self.entries[surface] = self.entries.get(surface, frozenset()) | types
-        hierarchy = hierarchy or TypeHierarchy()
-        resolved: dict[frozenset[str], str] = {}
-        self._trie: dict = {}
-        self.max_entry_len = 0
-        for surface, types in self.entries.items():
-            entity_type = resolved.get(types)
-            if entity_type is None:
-                entity_type = resolved[types] = resolve_type(types, hierarchy)
             node = self._trie
             for token in surface:
                 node = node.setdefault(token, {})
-            node[_END] = entity_type
-            self.max_entry_len = max(self.max_entry_len, len(surface))
+            merged = node.get(_END)
+            if merged is None:
+                terminals.append(node)
+            else:
+                types |= merged
+            node[_END] = type_sets.setdefault(types, types)  # one object per set
+        hierarchy = hierarchy or TypeHierarchy()
+        resolved = {
+            types: resolve_type(types, hierarchy) for types in {n[_END] for n in terminals}
+        }
+        for node in terminals:
+            node[_END] = resolved[node[_END]]
+        self._size = len(terminals)
         self.specialized_types = frozenset(specialized_types)
 
     def __len__(self):
-        return len(self.entries)
+        return self._size
 
     def __contains__(self, surface) -> bool:
-        return tuple(surface) in self.entries
+        node = self._trie
+        for token in surface:
+            node = node.get(token) if token else None
+            if node is None:
+                return False
+        return _END in node
 
     def longest_match(self, texts: Sequence[str], start: int):
         """Longest entry starting at position start, as (end, type), or None."""
@@ -141,28 +154,31 @@ class Gazetteer:
 def load_gazetteer(path, specialized_path=None, hierarchy=None) -> Gazetteer:
     """Load a "surface<TAB>type" TSV, tokenizing surfaces with the corpus rules.
 
-    Duplicate (surface, type) rows are merged; one surface may carry
-    several types, resolved to one under the optional hierarchy. An
-    optional file of one type per line marks the domain-specialized types.
+    Rows stream into the trie. Duplicate (surface, type) rows are merged;
+    one surface may carry several types, resolved to one under the
+    optional hierarchy. An optional file of one type per line marks the
+    domain-specialized types.
     """
-    entries: dict[tuple[str, ...], set[str]] = {}
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1].strip():
-                raise DataError(f"{path}:{lineno}: expected 'surface<TAB>type'")
-            surface = tuple(split_text(parts[0]))
-            if not surface:
-                raise DataError(f"{path}:{lineno}: empty surface form")
-            entries.setdefault(surface, set()).add(parts[1].strip())
-    specialized: list[str] = []
+        gazetteer = Gazetteer(_gazetteer_rows(path, fh), hierarchy=hierarchy)
     if specialized_path is not None:
         with open_text(specialized_path) as fh:
-            specialized = [line.strip() for line in fh if line.strip()]
-    return Gazetteer(entries, specialized, hierarchy)
+            gazetteer.specialized_types = frozenset(line.strip() for line in fh if line.strip())
+    return gazetteer
+
+
+def _gazetteer_rows(path, fh) -> Iterator[tuple[list[str], tuple[str]]]:
+    for lineno, line in enumerate(fh, 1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[1].strip():
+            raise DataError(f"{path}:{lineno}: expected 'surface<TAB>type'")
+        surface = split_text(parts[0])
+        if not surface:
+            raise DataError(f"{path}:{lineno}: empty surface form")
+        yield surface, (parts[1].strip(),)
 
 
 def resolve_type(candidates: Iterable[str], hierarchy: TypeHierarchy) -> str:

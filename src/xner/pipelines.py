@@ -6,17 +6,18 @@ hash rather than shared RNG state, the worker count never changes a
 single output byte, only the runtime.
 
 Results stream: each pipeline writes a document's output as soon as its
-result arrives, so no command holds a whole corpus or a whole output.
+result arrives, and a pool reads the corpus in fixed windows, so no
+command holds a whole corpus or a whole output.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import signal
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from xner.corpus import CorpusStats, Document, corpus_stats, segment
@@ -31,6 +32,11 @@ from xner.selector import (
 )
 
 LEVELS = ("entity", "task", "integrated")
+
+# Documents per pool task, and per window of the corpus read ahead of the
+# pool; two windows in flight bound the memory a pooled run holds.
+CHUNK_SIZE = 4
+WINDOW_SIZE = 128
 
 
 # The worker of the current pool process, set once by the pool initializer.
@@ -60,20 +66,25 @@ def map_documents(worker, documents: Iterable[Document], workers: int) -> Iterat
 
 
 def _map_pooled(worker, documents: Iterable[Document], workers: int) -> Iterator:
-    # ProcessPoolExecutor.map submits every chunk at once, so the corpus is
-    # listed here anyway; only the results stream.
-    docs = list(documents)
-    if len(docs) <= 1:
-        yield from map(worker, docs)
+    documents = iter(documents)
+    head = list(islice(documents, 2))
+    if len(head) <= 1:
+        yield from map(worker, head)
         return
-    chunksize = max(1, math.ceil(len(docs) / (workers * 4)))
+    documents = chain(head, documents)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_pool_worker, initargs=(worker,)
     ) as pool:
-        results = pool.map(_call_pool_worker, docs, chunksize=chunksize)
-        del docs  # submitted: each chunk's documents are freed when it finishes
         try:
-            yield from results
+            # Read the corpus a window at a time and keep at most two
+            # windows in flight: submit the next one, then yield this one.
+            pending = iter(())
+            while window := list(islice(documents, WINDOW_SIZE)):
+                submitted = pool.map(_call_pool_worker, window, chunksize=CHUNK_SIZE)
+                del window  # each chunk's documents are freed when it finishes
+                yield from pending
+                pending = submitted
+            yield from pending
         except BaseException:
             # An error, Ctrl-C or an abandoned stream: do not finish the corpus.
             pool.shutdown(cancel_futures=True)

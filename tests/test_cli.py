@@ -1,13 +1,19 @@
 import json
 import multiprocessing
 import os
+import shlex
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from xner import pipelines
 from xner.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -410,21 +416,30 @@ class TestFailedRuns:
         assert out.read_bytes() == b"previous output\n"
         assert os.listdir(out.parent) == [out.name]
 
-    @pytest.mark.parametrize("command", [
+    COMMANDS = [
         ["mask"],
         ["extract", "--level", "integrated", "--gazetteer", "G", "--specialized", "S"],
         ["pre-annotate", "--gazetteer", "G"],
+    ]
+
+    @pytest.mark.parametrize("command, workers", [
+        *(pytest.param(c, "1", id=f"command{i}") for i, c in enumerate(COMMANDS)),
+        *(pytest.param(c, "2", id=f"command{i}-pool") for i, c in enumerate(COMMANDS)),
     ])
     def test_malformed_record_keeps_previous_output(
-        self, capsys, tmp_path, third_record_malformed, gazetteer_file,
-        specialized_file, command,
+        self, capsys, monkeypatch, tmp_path, third_record_malformed, gazetteer_file,
+        specialized_file, command, workers,
     ):
+        # One-document windows: the pool is working on the first two
+        # records when the reader meets the third.
+        monkeypatch.setattr(pipelines, "WINDOW_SIZE", 1)
+        monkeypatch.setattr(pipelines, "CHUNK_SIZE", 1)
         out = self._previous_output(tmp_path)
         files = {"G": str(gazetteer_file), "S": str(specialized_file)}
         code, out_text, err = run_cli(
             capsys, *[files.get(arg, arg) for arg in command],
             "--input", str(third_record_malformed), "--format", "jsonl",
-            "--workers", "1", "--output", str(out),
+            "--workers", workers, "--output", str(out),
         )
         assert code == 2
         assert out_text == ""
@@ -472,6 +487,32 @@ class TestFailedRuns:
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert received == [target.read_bytes()]
         assert target.read_bytes().startswith(b'{"doc_id"')
+
+    @pytest.mark.parametrize("redirect", [">", ">>"])
+    def test_output_to_redirected_stdout_keeps_data_then_summary(
+        self, capsys, tmp_path, music_corpus, redirect
+    ):
+        expected = tmp_path / "expected.jsonl"
+        _, summary, _ = run_cli(
+            capsys, "mask", "--input", str(music_corpus), "--workers", "1",
+            "--output", str(expected),
+        )
+        out = tmp_path / "out.jsonl"
+        out.write_text('{"previous": "line"}\n')
+        command = " ".join(map(shlex.quote, [
+            sys.executable, "-m", "xner.cli", "mask", "--input", str(music_corpus),
+            "--workers", "1", "--output", "/dev/stdout",
+        ]))
+        subprocess.run(
+            ["sh", "-c", f"{command} {redirect} {shlex.quote(str(out))}"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+            stderr=subprocess.DEVNULL,
+        )
+        lines = out.read_text().splitlines(keepends=True)
+        assert all(json.loads(line) for line in lines)
+        if redirect == ">>":
+            assert lines.pop(0) == '{"previous": "line"}\n'
+        assert "".join(lines) == expected.read_text() + summary
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -50,7 +50,11 @@ class TestLoadGazetteer:
         path = tmp_path / "g.tsv"
         path.write_text("Mars\tastronomical object\n")
         g = load_gazetteer(path)
-        assert g.entries[("Mars",)] == {"astronomical object"}
+        assert len(g) == 1
+        assert ("Mars",) in g
+        assert ("Mars", "Mars") not in g
+        [m] = find_mentions(make_sentence("Mars rose"), g)
+        assert m.entity_type == "astronomical object"
 
     def test_duplicate_surface_merges_types(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -59,7 +63,11 @@ class TestLoadGazetteer:
         )
         g = load_gazetteer(path)
         assert len(g) == 1
-        assert g.entries[("Hugo", "Chávez")] == {"politician", "person"}
+        assert ("Hugo", "Chávez") in g
+        # Without a hierarchy the lexicographically smallest type wins, and
+        # only the merged set {politician, person} can resolve to person.
+        [m] = find_mentions(make_sentence("Hugo Chávez spoke"), g)
+        assert m.entity_type == "person"
 
     def test_surface_tokenized_with_corpus_rules(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -95,6 +103,52 @@ class TestLoadGazetteer:
         g = load_gazetteer(g_path, hierarchy=TypeHierarchy.load(h_path))
         mentions = find_mentions(make_sentence("Ana met Hugo Chávez"), g)
         assert [m.entity_type for m in mentions] == ["person", "politician"]
+
+    @pytest.mark.parametrize("surface, types, message", [
+        ((), {"t"}, "empty gazetteer surface"),
+        (("a", ""), {"t"}, "empty gazetteer surface"),
+        (("a",), set(), "without types"),
+    ])
+    def test_invalid_entries_rejected(self, surface, types, message):
+        for entries in ({surface: types}, [(("b",), {"t"}), (surface, types)]):
+            with pytest.raises(ValueError, match=message):
+                Gazetteer(entries)
+
+    def test_mentions_carry_the_resolved_merged_type(self, tmp_path, rng):
+        """Random rows with repeated surfaces, under random hierarchies: a
+        mapping, an iterable of rows and the loader all give each mention
+        resolve_type of its surface's merged type set."""
+        tokens = ["Ab", "Cd", "Ef"]
+        types = ["a", "b", "c", "d", "e"]
+        path = tmp_path / "g.tsv"
+        for _ in range(300):
+            order = rng.sample(types, len(types))
+            h = TypeHierarchy({
+                t: rng.choice(order[:i])
+                for i, t in enumerate(order) if i and rng.random() < 0.6
+            })
+            rows = [
+                (tuple(rng.choices(tokens, k=rng.randint(1, 3))), rng.choice(types))
+                for _ in range(rng.randint(1, 12))
+            ]
+            merged = {}
+            for surface, t in rows:
+                merged.setdefault(surface, set()).add(t)
+            path.write_text("".join(f"{' '.join(s)}\t{t}\n" for s, t in rows))
+            texts = rng.choices(tokens, k=rng.randint(1, 8))
+            expected = [
+                (start, end, resolve_type(merged_types, h))
+                for start, end, merged_types in oracle_leftmost_longest(texts, merged)
+            ]
+            for g in (
+                Gazetteer(merged, hierarchy=h),
+                Gazetteer(((s, {t}) for s, t in rows), hierarchy=h),
+                load_gazetteer(path, hierarchy=h),
+            ):
+                assert len(g) == len(merged)
+                assert all(surface in g for surface in merged)
+                mentions = find_mentions(make_sentence(" ".join(texts)), g)
+                assert [(m.start, m.end, m.entity_type) for m in mentions] == expected
 
 
 class TestResolveType:
@@ -218,7 +272,7 @@ class TestFindMentions:
             s = make_sentence(" ".join(texts))
             got = [(m.start, m.end) for m in find_mentions(s, g)]
             expected = [(a, b) for a, b, _ in
-                        oracle_leftmost_longest(texts, g.entries)]
+                        oracle_leftmost_longest(texts, entries)]
             assert got == expected
 
     def test_removing_entry_never_lengthens_spans(self, rng):
