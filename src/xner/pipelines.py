@@ -33,10 +33,12 @@ from xner.selector import (
 
 LEVELS = ("entity", "task", "integrated")
 
-# Documents per pool task, and per window of the corpus read ahead of the
-# pool; two windows in flight bound the memory a pooled run holds.
-CHUNK_SIZE = 4
-WINDOW_SIZE = 128
+# A pool task takes documents until their text reaches CHUNK_CHARS, so a
+# round trip carries about as much work for short documents as for long
+# ones. The corpus is read ahead in windows of WINDOW_CHUNKS tasks per
+# worker, and two windows in flight bound the memory a pooled run holds.
+CHUNK_CHARS = 16_384
+WINDOW_CHUNKS = 8
 
 
 # The worker of the current pool process, set once by the pool initializer.
@@ -50,8 +52,20 @@ def _set_pool_worker(worker) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _call_pool_worker(doc: Document):
-    return _pool_worker(doc)
+def _call_pool_worker(chunk: list[Document]) -> list:
+    return [_pool_worker(doc) for doc in chunk]
+
+
+def _chunks(documents: Iterable[Document]) -> Iterator[list[Document]]:
+    chunk, chars = [], 0
+    for doc in documents:
+        chunk.append(doc)
+        chars += sum(map(len, doc.paragraphs))
+        if chars >= CHUNK_CHARS:
+            yield chunk
+            chunk, chars = [], 0
+    if chunk:
+        yield chunk
 
 
 def map_documents(worker, documents: Iterable[Document], workers: int) -> Iterator:
@@ -71,7 +85,7 @@ def _map_pooled(worker, documents: Iterable[Document], workers: int) -> Iterator
     if len(head) <= 1:
         yield from map(worker, head)
         return
-    documents = chain(head, documents)
+    chunks = _chunks(chain(head, documents))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_pool_worker, initargs=(worker,)
     ) as pool:
@@ -79,12 +93,12 @@ def _map_pooled(worker, documents: Iterable[Document], workers: int) -> Iterator
             # Read the corpus a window at a time and keep at most two
             # windows in flight: submit the next one, then yield this one.
             pending = iter(())
-            while window := list(islice(documents, WINDOW_SIZE)):
-                submitted = pool.map(_call_pool_worker, window, chunksize=CHUNK_SIZE)
+            while window := list(islice(chunks, WINDOW_CHUNKS * workers)):
+                submitted = pool.map(_call_pool_worker, window)
                 del window  # each chunk's documents are freed when it finishes
-                yield from pending
+                yield from chain.from_iterable(pending)
                 pending = submitted
-            yield from pending
+            yield from chain.from_iterable(pending)
         except BaseException:
             # An error, Ctrl-C or an abandoned stream: do not finish the corpus.
             pool.shutdown(cancel_futures=True)
