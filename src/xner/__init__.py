@@ -11,7 +11,6 @@ from xner.corpus import (  # noqa: F401
     CorpusStats,
     Document,
     Sentence,
-    corpus_stats,
     load_corpus,
     segment,
 )

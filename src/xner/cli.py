@@ -19,8 +19,8 @@ import tempfile
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
-from xner.corpus import load_corpus, split_text
-from xner.errors import DataError, UsageError, open_text
+from xner.corpus import corpus_tokens, load_corpus
+from xner.errors import DataError, UsageError, data_lines
 from xner.evaluation import misclassification_rate, score, vocab_overlap
 from xner.gazetteer import TypeHierarchy, load_gazetteer
 from xner.masker import MaskingConfig, build_vocabulary
@@ -33,6 +33,7 @@ from xner.nerdata import (
     subsample,
 )
 from xner.pipelines import (
+    LEVELS,
     select_documents,
     stats_documents,
     write_groups,
@@ -45,13 +46,6 @@ from xner.selector import SelectorConfig, load_external_mentions
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _default_workers() -> int:
-    env = os.environ.get("XNER_WORKERS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _add_corpus_args(p):
@@ -70,7 +64,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="build a pre-training corpus")
     _add_corpus_args(p)
-    p.add_argument("--level", choices=("entity", "task", "integrated"), required=True)
+    p.add_argument("--level", choices=LEVELS, required=True)
     p.add_argument("--gazetteer", help="surface<TAB>type TSV")
     p.add_argument("--hierarchy", help="child<TAB>parent TSV")
     p.add_argument("--specialized", help="one specialized type per line")
@@ -181,10 +175,19 @@ def _is_stdout_file(path) -> bool:
 
 
 def _workers(args) -> int:
-    n = args.workers if args.workers is not None else _default_workers()
+    n = args.workers
+    if n is None:
+        env = os.environ.get("XNER_WORKERS")
+        if env and not env.strip().isdecimal():
+            raise UsageError(f"XNER_WORKERS must be a positive integer, got {env!r}")
+        n = int(env) if env else os.cpu_count() or 1
     if n < 1:
-        raise UsageError("--workers must be >= 1")
+        raise UsageError("--workers and XNER_WORKERS must be >= 1")
     return n
+
+
+def _word_list(path) -> list[str]:
+    return [line.strip() for _, line in data_lines(path)]
 
 
 def _load_hierarchy(path) -> TypeHierarchy | None:
@@ -198,28 +201,15 @@ def _cmd_stats(args) -> None:
 
 def _cmd_extract(args) -> None:
     hierarchy = _load_hierarchy(args.hierarchy)
-    gazetteer = None
-    if args.gazetteer:
-        gazetteer = load_gazetteer(args.gazetteer, args.specialized, hierarchy)
+    gazetteer = load_gazetteer(args.gazetteer, hierarchy) if args.gazetteer else None
     mentions = load_external_mentions(args.mentions) if args.mentions else None
-    if gazetteer is None and mentions is None:
-        raise UsageError("extract requires --gazetteer or --mentions")
-    try:
-        cfg = SelectorConfig(args.min_mentions, args.min_specialized, args.upsample)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.percent is not None and not 0 <= args.percent <= 100:
-        raise UsageError("--percent must be in [0, 100]")
-    specialized = None
-    if args.specialized and gazetteer is None:
-        with open_text(args.specialized) as fh:
-            specialized = [line.strip() for line in fh if line.strip()]
+    specialized = _word_list(args.specialized) if args.specialized else ()
     try:
         groups = select_documents(
             load_corpus(args.input, args.format),
             args.level,
             gazetteer,
-            cfg,
+            SelectorConfig(args.min_mentions, args.min_specialized, args.upsample),
             mentions=mentions,
             specialized_types=specialized,
             percent=args.percent,
@@ -244,17 +234,12 @@ def _cmd_mask(args) -> None:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.vocab_size < 1:
+        raise UsageError("--vocab-size must be >= 1")
     workers = _workers(args)
     _log("building replacement vocabulary")
-    vocabulary = build_vocabulary(
-        (
-            token
-            for doc in load_corpus(args.input, args.format)
-            for paragraph in doc.paragraphs
-            for token in split_text(paragraph)
-        ),
-        args.vocab_size,
-    )
+    tokens = corpus_tokens(load_corpus(args.input, args.format))
+    vocabulary = build_vocabulary(tokens, args.vocab_size)
     with _output(args.output) as fh:
         examples, targets = write_masked(
             load_corpus(args.input, args.format), cfg, vocabulary, fh, workers
@@ -302,16 +287,8 @@ def _cmd_overlap(args) -> None:
         if "=" not in spec:
             raise UsageError(f"--inputs entries must be NAME=PATH, got {spec!r}")
         name, path = spec.split("=", 1)
-        corpora[name] = [
-            token
-            for doc in load_corpus(path, args.format)
-            for paragraph in doc.paragraphs
-            for token in split_text(paragraph)
-        ]
-    stopwords = None
-    if args.stopwords:
-        with open_text(args.stopwords) as fh:
-            stopwords = [line.strip() for line in fh if line.strip()]
+        corpora[name] = corpus_tokens(load_corpus(path, args.format))
+    stopwords = _word_list(args.stopwords) if args.stopwords else None
     if args.top_k < 1:
         raise UsageError("--top-k must be >= 1")
     matrix = vocab_overlap(corpora, args.top_k, stopwords)

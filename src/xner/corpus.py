@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from xner.errors import DataError, open_text
+from xner.errors import DataError, data_lines, open_text
 
 # Punctuation peeled off token edges; clitics split as their own tokens.
 SPLIT_PUNCT = frozenset(".,;:!?'\"()[]{}")
@@ -56,9 +57,6 @@ class Sentence:
 
     def __len__(self):
         return len(self.tokens)
-
-    def texts(self) -> list[str]:
-        return list(self.tokens)
 
     def text(self) -> str:
         return " ".join(self.tokens)
@@ -183,36 +181,37 @@ def _is_boundary(paragraph: str, term_start: int, term_end: int) -> bool:
     return k < len(paragraph) and paragraph[k].isupper()
 
 
-def segment(document: Document) -> list[Sentence]:
-    """Segment a document into tokenized sentences with dense indices."""
-    sentences: list[Sentence] = []
-    index = 0
+def _sentence_tokens(document: Document) -> list[list[str]]:
+    """The tokens of each non-empty sentence of the document, in order."""
+    sentences = []
     for paragraph in document.paragraphs:
         for piece in split_sentences(paragraph):
             tokens = split_text(piece)
             if tokens:
-                sentences.append(Sentence(document.id, index, tuple(tokens)))
-                index += 1
+                sentences.append(tokens)
     return sentences
 
 
-def corpus_stats(documents: Iterable[Document]) -> CorpusStats:
-    """Exact paragraph/sentence/token counts over a document stream.
+def segment(document: Document) -> list[Sentence]:
+    """Segment a document into tokenized sentences with dense indices."""
+    return [
+        Sentence(document.id, index, tuple(tokens))
+        for index, tokens in enumerate(_sentence_tokens(document))
+    ]
 
-    Streams with bounded memory; counts are additive across shards.
-    """
-    paragraphs = sentences = tokens = 0
-    for offset, doc in enumerate(documents):
-        if not isinstance(doc, Document):
-            raise DataError(f"record {offset}: not a Document: {type(doc).__name__}")
-        paragraphs += len(doc.paragraphs)
-        for paragraph in doc.paragraphs:
-            for piece in split_sentences(paragraph):
-                n = len(split_text(piece))
-                if n:
-                    sentences += 1
-                    tokens += n
-    return CorpusStats(paragraphs, sentences, tokens)
+
+def document_stats(document: Document) -> CorpusStats:
+    """Paragraph/sentence/token counts of one document, additive across documents."""
+    sentences = _sentence_tokens(document)
+    return CorpusStats(len(document.paragraphs), len(sentences), sum(map(len, sentences)))
+
+
+def corpus_tokens(documents: Iterable[Document]) -> Iterator[str]:
+    """The tokens of segment's sentences, concatenated. Sentences end only at
+    whitespace, so each paragraph is tokenized whole, without splitting it."""
+    return chain.from_iterable(
+        split_text(paragraph) for document in documents for paragraph in document.paragraphs
+    )
 
 
 def load_corpus(path, format: str = "plain", domain: str = "") -> Iterator[Document]:
@@ -247,16 +246,12 @@ def _load_plain(path: Path, domain: str) -> Iterator[Document]:
 
 
 def _load_jsonl(path: Path) -> Iterator[Document]:
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise DataError(f"{path}:{lineno}: record must have 'id' and 'text'")
-            paragraphs = tuple(p for p in str(record["text"]).split("\n") if p.strip())
-            yield Document(str(record["id"]), str(record.get("domain", "")), paragraphs)
-
+    for lineno, line in data_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict) or "id" not in record or "text" not in record:
+            raise DataError(f"{path}:{lineno}: record must have 'id' and 'text'")
+        paragraphs = tuple(p for p in str(record["text"]).split("\n") if p.strip())
+        yield Document(str(record["id"]), str(record.get("domain", "")), paragraphs)

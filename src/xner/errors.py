@@ -1,6 +1,7 @@
-"""Shared exception types, and the UTF-8 reader that reports bad bytes as data errors."""
+"""Shared exception types, and the UTF-8 readers that report bad bytes as data errors."""
 
 from contextlib import contextmanager
+from typing import Iterator
 
 
 class DataError(ValueError):
@@ -31,3 +32,12 @@ def open_text(path):
                 except UnicodeDecodeError:
                     break
         raise DataError(f"{path}:{lineno}: invalid UTF-8") from None
+
+
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) for every non-blank line of
+    a UTF-8 file, so each record reader can report errors as path:line."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                yield lineno, line.rstrip("\n")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from xner.corpus import Sentence, split_text
-from xner.errors import DataError, open_text
+from xner.errors import DataError, data_lines
 
 _SOURCES = frozenset({"gazetteer", "gold", "hyperlink", "external"})
 
@@ -36,24 +36,14 @@ class EntityMention:
         if self.source not in _SOURCES:
             raise ValueError(f"unknown mention source: {self.source!r}")
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 class TypeHierarchy:
     """Child-type to parent-type forest (e.g. politician -> person)."""
 
     def __init__(self, parent_of: Mapping[str, str] | None = None):
         self.parent_of = dict(parent_of or {})
-        for child in self.parent_of:
-            seen = {child}
-            node = child
-            while node in self.parent_of:
-                node = self.parent_of[node]
-                if node in seen:
-                    raise ValueError(f"type hierarchy cycle through {node!r}")
-                seen.add(node)
+        if (node := _cycle_node(self.parent_of)) is not None:
+            raise ValueError(f"type hierarchy cycle through {node!r}")
 
     def ancestors(self, entity_type: str) -> list[str]:
         out = []
@@ -65,18 +55,32 @@ class TypeHierarchy:
 
     @classmethod
     def load(cls, path) -> "TypeHierarchy":
-        """Load a TSV of "child<TAB>parent" rows."""
-        parent_of = {}
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                    raise DataError(f"{path}:{lineno}: expected 'child<TAB>parent'")
-                parent_of[parts[0].strip()] = parts[1].strip()
-        return cls(parent_of)
+        """Load a TSV of "child<TAB>parent" rows; a cycle is reported at
+        the line of one of its rows."""
+        parent_of, line_of = {}, {}
+        for lineno, line in data_lines(path):
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                raise DataError(f"{path}:{lineno}: expected 'child<TAB>parent'")
+            parent_of[parts[0].strip()] = parts[1].strip()
+            line_of[parts[0].strip()] = lineno
+        try:
+            return cls(parent_of)
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_of[_cycle_node(parent_of)]}: {exc}") from None
+
+
+def _cycle_node(parent_of: Mapping[str, str]) -> str | None:
+    """A type on a cycle of the child-to-parent map, or None for a forest."""
+    for child in parent_of:
+        seen = {child}
+        node = child
+        while node in parent_of:
+            node = parent_of[node]
+            if node in seen:
+                return node
+            seen.add(node)
+    return None
 
 
 class Gazetteer:
@@ -92,7 +96,6 @@ class Gazetteer:
         self,
         entries: Mapping[Sequence[str], Iterable[str]]
         | Iterable[tuple[Sequence[str], Iterable[str]]] = (),
-        specialized_types: Iterable[str] = (),
         hierarchy: TypeHierarchy | None = None,
     ):
         rows = entries.items() if isinstance(entries, Mapping) else entries
@@ -121,18 +124,9 @@ class Gazetteer:
         for node in terminals:
             node[_END] = resolved[node[_END]]
         self._size = len(terminals)
-        self.specialized_types = frozenset(specialized_types)
 
     def __len__(self):
         return self._size
-
-    def __contains__(self, surface) -> bool:
-        node = self._trie
-        for token in surface:
-            node = node.get(token) if token else None
-            if node is None:
-                return False
-        return _END in node
 
     def longest_match(self, texts: Sequence[str], start: int):
         """Longest entry starting at position start, as (end, type), or None."""
@@ -151,27 +145,18 @@ class Gazetteer:
         return best
 
 
-def load_gazetteer(path, specialized_path=None, hierarchy=None) -> Gazetteer:
+def load_gazetteer(path, hierarchy=None) -> Gazetteer:
     """Load a "surface<TAB>type" TSV, tokenizing surfaces with the corpus rules.
 
     Rows stream into the trie. Duplicate (surface, type) rows are merged;
     one surface may carry several types, resolved to one under the
-    optional hierarchy. An optional file of one type per line marks the
-    domain-specialized types.
+    optional hierarchy.
     """
-    with open_text(path) as fh:
-        gazetteer = Gazetteer(_gazetteer_rows(path, fh), hierarchy=hierarchy)
-    if specialized_path is not None:
-        with open_text(specialized_path) as fh:
-            gazetteer.specialized_types = frozenset(line.strip() for line in fh if line.strip())
-    return gazetteer
+    return Gazetteer(_gazetteer_rows(path), hierarchy)
 
 
-def _gazetteer_rows(path, fh) -> Iterator[tuple[list[str], tuple[str]]]:
-    for lineno, line in enumerate(fh, 1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
+def _gazetteer_rows(path) -> Iterator[tuple[list[str], tuple[str]]]:
+    for lineno, line in data_lines(path):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[1].strip():
             raise DataError(f"{path}:{lineno}: expected 'surface<TAB>type'")
@@ -225,7 +210,7 @@ def mentions_to_bio(mentions: Iterable[EntityMention], length: int) -> list[str]
     tags = ["O"] * length
     for m in mentions:
         if m.end > length:
-            raise ValueError(f"mention {m.span} exceeds sentence length {length}")
+            raise ValueError(f"mention end {m.end} exceeds sentence length {length}")
         tags[m.start] = f"B-{m.entity_type}"
         for i in range(m.start + 1, m.end):
             tags[i] = f"I-{m.entity_type}"

@@ -20,7 +20,6 @@ from xner.corpus import Sentence
 from xner.seeding import stable_hash
 
 _STRATEGIES = ("token", "span")
-_KINDS = ("mask", "random", "keep")
 
 
 @dataclass(frozen=True)

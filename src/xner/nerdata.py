@@ -33,9 +33,6 @@ class LabeledSentence:
     def __len__(self):
         return len(self.tokens)
 
-    def texts(self) -> list[str]:
-        return list(self.tokens)
-
 
 @dataclass(frozen=True)
 class SplitStats:

@@ -20,7 +20,7 @@ from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
-from xner.corpus import CorpusStats, Document, corpus_stats, segment
+from xner.corpus import CorpusStats, Document, document_stats, segment
 from xner.gazetteer import Gazetteer, pre_annotate
 from xner.masker import MaskingConfig, mask_corpus
 from xner.selector import (
@@ -158,7 +158,7 @@ def _select_doc(
             return entity
     task = [
         s.text()
-        for s in select_task_level(sentences, gazetteer, cfg, mentions, specialized_types)
+        for s in select_task_level(sentences, gazetteer, specialized_types, cfg, mentions)
     ]
     return task if level == "task" else (entity, task)
 
@@ -169,14 +169,15 @@ def select_documents(
     gazetteer: Gazetteer | None,
     cfg: SelectorConfig = SelectorConfig(),
     mentions: MentionIndex | None = None,
-    specialized_types=None,
+    specialized_types: Iterable[str] = (),
     percent: float | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> Iterator[list[str]]:
     """Selected sentence lines grouped by document, as a lazy stream.
 
-    The options are checked here, before any document is read. level
+    The options, including the specialized types that "task" and
+    "integrated" need, are checked here, before any document is read. level
     "entity" or "task" yields one group per document; "integrated" yields
     the entity groups followed by the task groups repeated
     cfg.task_upsample times, so token counts satisfy
@@ -184,17 +185,13 @@ def select_documents(
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
-    if level in ("task", "integrated"):
-        specialized = frozenset(
-            specialized_types
-            if specialized_types is not None
-            else (gazetteer.specialized_types if gazetteer else ())
-        )
-        if not specialized:
-            raise ValueError(
-                "task-level selection requires a non-empty specialized type set"
-            )
-        specialized_types = specialized
+    if gazetteer is None and mentions is None:
+        raise ValueError("selection requires a gazetteer or an external mention index")
+    specialized_types = frozenset(specialized_types)
+    if level != "entity" and not specialized_types:
+        raise ValueError("task-level selection requires a non-empty specialized type set")
+    if percent is not None and not 0 <= percent <= 100:
+        raise ValueError(f"percent must be in [0, 100], got {percent}")
     worker = partial(
         _select_doc,
         level=level,
@@ -270,8 +267,4 @@ def write_pre_annotated(
 
 def stats_documents(documents: Iterable[Document], workers: int = 1) -> CorpusStats:
     """Corpus stats, shardable by document with associative merge."""
-    return sum(map_documents(_doc_stats, documents, workers), CorpusStats())
-
-
-def _doc_stats(doc: Document) -> CorpusStats:
-    return corpus_stats([doc])
+    return sum(map_documents(document_stats, documents, workers), CorpusStats())

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from xner.corpus import Sentence
-from xner.errors import DataError, open_text
+from xner.errors import DataError, data_lines
 from xner.gazetteer import EntityMention, Gazetteer, find_mentions
 from xner.seeding import unit_interval
 
@@ -39,8 +39,6 @@ def _sentence_mentions(
 ) -> list[EntityMention]:
     if mentions is not None:
         return mentions.get((sentence.doc_id, sentence.index), [])
-    if gazetteer is None:
-        raise ValueError("either a gazetteer or an external mention index is required")
     return find_mentions(sentence, gazetteer)
 
 
@@ -60,19 +58,14 @@ def select_entity_level(
 def select_task_level(
     corpus: Iterable[Sentence],
     gazetteer: Gazetteer | None,
+    specialized_types: AbstractSet[str],
     cfg: SelectorConfig = SelectorConfig(),
     mentions: MentionIndex | None = None,
-    specialized_types: Iterable[str] | None = None,
 ) -> Iterator[Sentence]:
-    """Sentences with at least cfg.min_specialized domain-specialized mentions."""
-    if specialized_types is None:
-        specialized_types = gazetteer.specialized_types if gazetteer else frozenset()
-    specialized = frozenset(specialized_types)
-    if not specialized:
-        raise ValueError("task-level selection requires a non-empty specialized type set")
+    """Sentences with at least cfg.min_specialized mentions of a specialized type."""
     for sentence in corpus:
         found = _sentence_mentions(sentence, gazetteer, mentions)
-        hits = sum(1 for m in found if m.entity_type in specialized)
+        hits = sum(1 for m in found if m.entity_type in specialized_types)
         if hits >= cfg.min_specialized:
             yield sentence
 
@@ -98,21 +91,18 @@ def load_external_mentions(path) -> dict[tuple[str, int], list[EntityMention]]:
     Records: {"doc_id":…, "sentence_index":…, "start":…, "end":…, "type":…}.
     """
     index: dict[tuple[str, int], list[EntityMention]] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                mention = EntityMention(
-                    str(rec["doc_id"]),
-                    int(rec["sentence_index"]),
-                    int(rec["start"]),
-                    int(rec["end"]),
-                    str(rec["type"]),
-                    source="external",
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad mention record: {exc}") from exc
-            index.setdefault((mention.doc_id, mention.sentence_index), []).append(mention)
+    for lineno, line in data_lines(path):
+        try:
+            rec = json.loads(line)
+            mention = EntityMention(
+                str(rec["doc_id"]),
+                int(rec["sentence_index"]),
+                int(rec["start"]),
+                int(rec["end"]),
+                str(rec["type"]),
+                source="external",
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad mention record: {exc}") from exc
+        index.setdefault((mention.doc_id, mention.sentence_index), []).append(mention)
     return index

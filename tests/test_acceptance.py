@@ -123,7 +123,6 @@ def test_04_integrated_corpus_identity():
         gazetteer = Gazetteer(
             {("Nirvana",): {"band"}, ("Nevermind",): {"album"},
              ("Seattle",): {"location"}, ("Kurt", "Cobain"): {"person"}},
-            specialized_types={"band", "album"},
         )
         words = ["Nirvana", "Nevermind", "Seattle", "Kurt", "Cobain",
                  "played", "loudly", "fans", "cheered", "records"]
@@ -132,7 +131,9 @@ def test_04_integrated_corpus_identity():
         for _ in range(50):
             docs = _random_documents(rng, rng.randint(1, 12), words)
             by_level = {
-                level: select_documents(docs, level, gazetteer)
+                level: select_documents(
+                    docs, level, gazetteer, specialized_types={"band", "album"}
+                )
                 for level in ("entity", "task", "integrated")
             }
             assert _group_tokens(by_level["integrated"]) == (
@@ -277,7 +278,6 @@ def test_09_determinism_under_parallelism():
         gazetteer = Gazetteer(
             {("Nirvana",): {"band"}, ("Nevermind",): {"album"},
              ("Seattle",): {"location"}},
-            specialized_types={"band", "album"},
         )
         cfg = MaskingConfig(seed=9)
         vocabulary = [f"word{i}" for i in range(50)]
@@ -292,7 +292,8 @@ def test_09_determinism_under_parallelism():
         for workers in (1, 8):
             buffer = io.StringIO()
             groups = select_documents(
-                docs, "integrated", gazetteer, workers=workers
+                docs, "integrated", gazetteer, workers=workers,
+                specialized_types={"band", "album"},
             )
             write_groups(groups, buffer)
             extracted[workers] = buffer.getvalue()
@@ -328,7 +329,7 @@ def test_11_selection_throughput():
     with criterion(11, "entity selection over 10M tokens, 50K-entry gazetteer, < 60 s"):
         rng = random.Random(11)
         entries = {(f"Entity{i}",): {"thing"} for i in range(50_000)}
-        gazetteer = Gazetteer(entries, specialized_types={"thing"})
+        gazetteer = Gazetteer(entries)
 
         plain = [f"word{i}" for i in range(5000)]
         entity_tokens = [f"Entity{i}" for i in range(0, 50_000, 7)]

@@ -84,6 +84,19 @@ class TestStats:
         assert f"{path}:2001: invalid UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "XNER_WORKERS must be a positive integer, got 'abc'"),
+        ("0", "--workers and XNER_WORKERS must be >= 1"),
+    ])
+    def test_bad_xner_workers_is_usage_error(
+        self, capsys, monkeypatch, music_corpus, value, message
+    ):
+        monkeypatch.setenv("XNER_WORKERS", value)
+        code, out, err = run_cli(capsys, "stats", "--input", str(music_corpus))
+        assert code == 1
+        assert out == ""
+        assert err == f"xner: usage error: {message}\n"
+
 
 class TestExtract:
     def test_integrated_token_identity(
@@ -186,6 +199,43 @@ class TestExtract:
         assert code == 2
         assert f"data error: {hierarchy}:2:" in err
 
+    def test_hierarchy_cycle_is_data_error_with_line(
+        self, capsys, tmp_path, music_corpus, gazetteer_file
+    ):
+        hierarchy = tmp_path / "h.tsv"
+        hierarchy.write_text(
+            "musical artist\tperson\n\npolitician\tleader\nleader\tpolitician\n"
+        )
+        code, out, err = run_cli(
+            capsys, "extract", "--level", "entity", "--input", str(music_corpus),
+            "--gazetteer", str(gazetteer_file), "--hierarchy", str(hierarchy),
+            "--output", str(tmp_path / "o.txt"), "--workers", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"xner: data error: {hierarchy}:3: type hierarchy cycle through 'politician'\n"
+        )
+
+    def test_specialized_types_read_from_file(
+        self, capsys, tmp_path, music_corpus, gazetteer_file
+    ):
+        specialized = tmp_path / "sp.txt"
+        specialized.write_text("\n band \n\nalbum\n")
+        out_path = tmp_path / "task.txt"
+        code, _, _ = run_cli(
+            capsys, "extract", "--level", "task", "--input", str(music_corpus),
+            "--gazetteer", str(gazetteer_file), "--specialized", str(specialized),
+            "--output", str(out_path), "--workers", "1",
+        )
+        assert code == 0
+        assert out_path.read_text() == (
+            "Nirvana recorded Nevermind in Seattle .\n"
+            "\n"
+            "Radiohead released Kid A in October .\n"
+            "Critics praised Kid A widely .\n"
+        )
+
 
 class TestMask:
     def test_mask_summary_and_output(self, capsys, tmp_path, music_corpus):
@@ -223,6 +273,19 @@ class TestMask:
             "--output", str(tmp_path / "m.jsonl"), "--workers", "1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_non_positive_vocab_size_is_usage_error(
+        self, capsys, tmp_path, music_corpus, size
+    ):
+        code, out, err = run_cli(
+            capsys, "mask", "--vocab-size", size, "--input", str(music_corpus),
+            "--output", str(tmp_path / "m.jsonl"), "--workers", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "xner: usage error: --vocab-size must be >= 1\n"
+        assert not (tmp_path / "m.jsonl").exists()
 
 
 class TestEval:

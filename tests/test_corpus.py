@@ -7,13 +7,15 @@ from xner.corpus import (
     CorpusStats,
     Document,
     Sentence,
-    corpus_stats,
+    corpus_tokens,
+    document_stats,
     load_corpus,
     segment,
     split_sentences,
     split_text,
 )
 from xner.errors import DataError
+from xner.pipelines import stats_documents
 
 # Text fragments that exercise every tokenizer and segmenter rule, drawn
 # evenly from three pools: words (plain, upper-case and non-ASCII letters,
@@ -92,11 +94,11 @@ class TestSegment:
 
     def test_terminal_punctuation_rule(self):
         sentences = segment(Document("d", "", ("A b. C d.",)))
-        assert [s.texts() for s in sentences] == [["A", "b", "."], ["C", "d", "."]]
+        assert [s.tokens for s in sentences] == [("A", "b", "."), ("C", "d", ".")]
 
     def test_end_of_paragraph_closes_sentence(self):
         sentences = segment(Document("d", "", ("A b c",)))
-        assert [s.texts() for s in sentences] == [["A", "b", "c"]]
+        assert [s.tokens for s in sentences] == [("A", "b", "c")]
 
     def test_abbreviation_not_split(self):
         assert split_sentences("Dr. Smith arrived. He left.") == [
@@ -128,28 +130,31 @@ class TestSegment:
         assert split_sentences("".join(paragraphs)) == ref_tokenizer.split_sentences(
             "".join(paragraphs)
         )
-        assert [(s.index, s.tokens) for s in segment(doc)] == ref_tokenizer.segment(
+        sentences = segment(doc)
+        assert [(s.index, s.tokens) for s in sentences] == ref_tokenizer.segment(
             paragraphs
         )
+        assert document_stats(doc) == CorpusStats(
+            len(paragraphs), len(sentences), sum(map(len, sentences))
+        )
+        # The invariant that lets mask build its vocabulary without
+        # splitting sentences.
+        assert list(corpus_tokens([doc])) == [t for s in sentences for t in s.tokens]
 
 
 class TestCorpusStats:
     def test_empty_stream(self):
-        assert corpus_stats([]) == CorpusStats(0, 0, 0)
+        assert stats_documents([]) == CorpusStats(0, 0, 0)
 
     def test_hand_count(self):
         # "A b." -> 3 tokens, "C d e f" -> 4 tokens
         doc = Document("d", "", ("A b. C d e f",))
-        assert corpus_stats([doc]) == CorpusStats(1, 2, 7)
+        assert stats_documents([doc]) == CorpusStats(1, 2, 7)
 
     def test_additive(self):
         a = [Document("a", "", ("X y. Z w.",))]
         b = [Document("b", "", ("Hello there friend.", "Bye now."))]
-        assert corpus_stats(a + b) == corpus_stats(a) + corpus_stats(b)
-
-    def test_malformed_record(self):
-        with pytest.raises(DataError, match="record 1"):
-            corpus_stats([Document("d", "", ("ok.",)), "not a doc"])
+        assert stats_documents(a + b) == stats_documents(a) + stats_documents(b)
 
 
 class TestLoadCorpus:

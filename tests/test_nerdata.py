@@ -56,7 +56,7 @@ class TestParseConll:
         path.write_text("Mars B-astronomicalobject\n\n")
         sentences = parse_conll(path)
         assert len(sentences) == 1
-        assert sentences[0].texts() == ["Mars"]
+        assert sentences[0].tokens == ("Mars",)
         assert sentences[0].tags == ("B-astronomicalobject",)
 
     def test_tab_separator_accepted(self, tmp_path):

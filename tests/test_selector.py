@@ -23,8 +23,10 @@ def gazetteer():
             ("Seattle",): {"location"},
             ("Kurt", "Cobain"): {"person"},
         },
-        specialized_types={"band", "album"},
     )
+
+
+SPECIALIZED = frozenset({"band", "album"})
 
 
 class TestSelectorConfig:
@@ -87,23 +89,25 @@ class TestEntityLevel:
 class TestTaskLevel:
     def test_non_specialized_mentions_excluded(self):
         s = make_sentence("Kurt Cobain lived in Seattle")
-        out = list(select_task_level([s], gazetteer()))
+        out = list(select_task_level([s], gazetteer(), SPECIALIZED))
         assert out == []
 
     def test_one_specialized_mention_included(self):
         s = make_sentence("Nirvana played")
-        assert list(select_task_level([s], gazetteer())) == [s]
+        assert list(select_task_level([s], gazetteer(), SPECIALIZED)) == [s]
 
     def test_task_level_not_nested_in_entity_level(self):
         # one specialized mention: passes task-level, fails entity-level
         s = make_sentence("Nirvana played")
-        assert list(select_task_level([s], gazetteer())) == [s]
+        assert list(select_task_level([s], gazetteer(), SPECIALIZED)) == [s]
         assert list(select_entity_level([s], gazetteer())) == []
 
     def test_empty_specialized_types_is_error(self):
+        # Checked once, by select_documents, before any document is read.
         g = Gazetteer({("Nirvana",): {"band"}})
-        with pytest.raises(ValueError, match="specialized"):
-            list(select_task_level([make_sentence("Nirvana played")], g))
+        for level in ("task", "integrated"):
+            with pytest.raises(ValueError, match="specialized"):
+                select_documents(iter(()), level, g)
 
 
 class TestBuildIntegrated:
@@ -114,9 +118,7 @@ class TestBuildIntegrated:
     def _integrated(entity_lengths, task_lengths, cfg=SelectorConfig()):
         # One sentence per document, of the given token lengths: two "E"
         # mentions make it entity-level only, one "T" makes it task-level only.
-        g = Gazetteer(
-            {("E",): {"plain"}, ("T",): {"special"}}, specialized_types={"special"}
-        )
+        g = Gazetteer({("E",): {"plain"}, ("T",): {"special"}})
         docs = [
             Document(f"e{i}", "", (" ".join(["E", "E"] + ["w"] * (n - 2)),))
             for i, n in enumerate(entity_lengths)
@@ -125,7 +127,11 @@ class TestBuildIntegrated:
             for i, n in enumerate(task_lengths)
         ]
         return [
-            line for group in select_documents(docs, "integrated", g, cfg) for line in group
+            line
+            for group in select_documents(
+                docs, "integrated", g, cfg, specialized_types={"special"}
+            )
+            for line in group
         ]
 
     def test_token_identity(self):
