@@ -28,6 +28,7 @@ from xner.nerdata import (
     JointConfig,
     build_joint,
     dataset_stats,
+    iter_conll,
     parse_conll,
     serialize_conll,
     subsample,
@@ -254,7 +255,7 @@ def _cmd_ner_stats(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    report = score(parse_conll(args.gold), parse_conll(args.pred))
+    report = score(parse_conll(args.gold), iter_conll(args.pred, strict=False))
     summary = {
         "precision": report.micro.precision,
         "recall": report.micro.recall,

@@ -8,11 +8,11 @@ CoNLL-style entity-level matching, no partial credit).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping
 
 from xner.errors import DataError
-from xner.nerdata import LabeledSentence, entity_spans
+from xner.nerdata import entity_spans
 
 # Small built-in English stopword list for vocabulary construction; a
 # caller-supplied set takes precedence.
@@ -45,19 +45,9 @@ class EvalReport:
     confusion: dict  # (gold type, predicted type) -> count, exact-span only
 
     def as_dict(self) -> dict:
-        def score_dict(s: TypeScore) -> dict:
-            return {
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
-                "gold": s.gold,
-                "predicted": s.predicted,
-                "correct": s.correct,
-            }
-
         return {
-            "micro": score_dict(self.micro),
-            "per_type": {t: score_dict(s) for t, s in sorted(self.per_type.items())},
+            "micro": asdict(self.micro),
+            "per_type": {t: asdict(s) for t, s in sorted(self.per_type.items())},
             "confusion": [
                 {"gold": g, "predicted": p, "count": c}
                 for (g, p), c in sorted(self.confusion.items())
@@ -89,31 +79,30 @@ def _prf(correct: int, predicted: int, gold: int) -> TypeScore:
     return TypeScore(p, r, f1, gold, predicted, correct)
 
 
-def _check_alignment(
-    gold: Sequence[LabeledSentence], pred: Sequence[LabeledSentence]
-) -> None:
-    if len(gold) != len(pred):
-        raise DataError(
-            f"gold has {len(gold)} sentences but pred has {len(pred)}"
-        )
-    for i, (g, p) in enumerate(zip(gold, pred)):
-        if g.tokens != p.tokens:
-            raise DataError(f"token mismatch at sentence {i}")
-
-
-def score(
-    gold: Sequence[LabeledSentence], pred: Sequence[LabeledSentence]
-) -> EvalReport:
+def score(gold: Iterable, pred: Iterable) -> EvalReport:
     """Micro and per-type precision/recall/F1 over exact (span, type) matches.
 
-    The confusion table counts exact-span matches whose types differ.
+    gold and pred yield sentences (.tokens, .tags) in the same order; a
+    pred .where ("path:line") locates a token mismatch. pred is pulled one
+    sentence per gold sentence, so it may be a one-shot iter_conll stream.
+    Both are chunked by entity_spans, as conlleval chunks them. The
+    confusion table counts exact-span matches whose types differ.
     """
-    _check_alignment(gold, pred)
+    gold, pred = iter(gold), iter(pred)
     gold_counts: Counter = Counter()
     pred_counts: Counter = Counter()
     correct_counts: Counter = Counter()
     confusion: Counter = Counter()
-    for g_sentence, p_sentence in zip(gold, pred):
+    n = 0
+    for g_sentence in gold:
+        p_sentence = next(pred, None)
+        if p_sentence is None:
+            rest = sum(1 for _ in gold)
+            raise DataError(f"gold has {n + 1 + rest} sentences but pred has {n}")
+        if g_sentence.tokens != p_sentence.tokens:
+            where = getattr(p_sentence, "where", "pred")
+            raise DataError(f"{where}: token mismatch at sentence {n}")
+        n += 1
         p_mentions = entity_spans(p_sentence.tags)
         for span, g_type in entity_spans(g_sentence.tags).items():
             gold_counts[g_type] += 1
@@ -122,8 +111,10 @@ def score(
                 correct_counts[g_type] += 1
             elif p_type is not None:
                 confusion[(g_type, p_type)] += 1
-        for p_type in p_mentions.values():
-            pred_counts[p_type] += 1
+        pred_counts.update(p_mentions.values())
+    rest = sum(1 for _ in pred)
+    if rest:
+        raise DataError(f"gold has {n} sentences but pred has {n + rest}")
     micro = _prf(
         sum(correct_counts.values()),
         sum(pred_counts.values()),

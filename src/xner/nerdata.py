@@ -7,9 +7,11 @@ applied, the on-disk label inventory is authoritative.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from sys import intern
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from xner.corpus import check_tokens
 from xner.errors import DataError, open_text
@@ -22,9 +24,7 @@ class LabeledSentence:
 
     def __post_init__(self):
         if len(self.tokens) != len(self.tags):
-            raise ValueError(
-                f"{len(self.tokens)} tokens but {len(self.tags)} tags"
-            )
+            raise ValueError(f"{len(self.tokens)} tokens but {len(self.tags)} tags")
         check_tokens(self.tokens)
         bad = validate_bio(self.tags)
         if bad:
@@ -58,6 +58,11 @@ class JointConfig:
             raise ValueError("multiplier must be >= 1")
 
 
+def _well_formed(tag: str) -> bool:
+    """Whether tag is "O", "B-<type>" or "I-<type>" with a non-empty type."""
+    return tag == "O" or (len(tag) > 2 and tag[0] in "BI" and tag[1] == "-")
+
+
 def validate_bio(tags: Sequence[str]) -> list[int]:
     """Positions violating the BIO contract; empty list means valid.
 
@@ -65,70 +70,73 @@ def validate_bio(tags: Sequence[str]) -> list[int]:
     immediately preceded by "B-<type>" or "I-<type>" of the same type.
     """
     violations = []
-    previous = "O"
+    current = None  # type of the chunk that an I- tag may continue
     for i, tag in enumerate(tags):
         if tag == "O":
-            previous = tag
-            continue
-        if len(tag) < 3 or tag[0] not in "BI" or tag[1] != "-":
+            current = None
+        elif not _well_formed(tag) or (tag[0] == "I" and tag[2:] != current):
             violations.append(i)
-            previous = "O"
-            continue
-        if tag[0] == "I":
-            if previous in (f"B-{tag[2:]}", f"I-{tag[2:]}"):
-                previous = tag
-            else:
-                violations.append(i)
-                previous = "O"
+            current = None
         else:
-            previous = tag
+            current = tag[2:]
     return violations
 
 
-def parse_conll(path) -> list[LabeledSentence]:
-    """Parse a CoNLL file: one "token tag" (space or tab) line per token,
-    blank line between sentences, -DOCSTART- lines skipped.
+class ConllSentence(NamedTuple):
+    """One sentence read from a CoNLL file."""
 
-    Tokens and tags are interned, so a gold and a predicted file share
-    their strings and aligned tokens compare by identity.
+    where: str  # "path:line" of the sentence's first token
+    tokens: tuple[str, ...]
+    tags: tuple[str, ...]
+
+
+def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
+    """Read a CoNLL file lazily, one sentence at a time.
+
+    The token is a line's first column and the tag its last, so the
+    CoNLL-2003 line "EU NNP B-NP B-ORG" reads as ("EU", "B-ORG"). Blank and
+    -DOCSTART- lines end a sentence. strict=True requires valid BIO;
+    strict=False accepts any sequence of well-formed tags, which
+    entity_spans chunks as conlleval does. A line with one field or a bad
+    tag raises DataError("path:line: ...").
     """
-    sentences: list[LabeledSentence] = []
+    well_formed = {"O"}
     tokens: list[str] = []
     tags: list[str] = []
-    start_line = 1
-
-    def flush():
-        if tokens:
-            bad = validate_bio(tags)
-            if bad:
-                raise DataError(
-                    f"{path}:{start_line + bad[0]}: invalid BIO tag "
-                    f"{tags[bad[0]]!r} at sentence position {bad[0]}"
-                )
-            sentences.append(
-                LabeledSentence(tuple(map(intern, tokens)), tuple(map(intern, tags)))
-            )
-        tokens.clear()
-        tags.clear()
-
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+        # The trailing "" ends the last sentence as a blank line would.
+        for lineno, line in enumerate(chain(fh, ("",)), 1):
             parts = line.split()
-            if not parts:
-                flush()
-                start_line = lineno + 1
-            elif line.startswith("-DOCSTART-"):
-                start_line = lineno + 1
-            elif len(parts) == 2:
+            if len(parts) > 1 and parts[0] != "-DOCSTART-":
                 if not tokens:
-                    start_line = lineno
+                    start = lineno
                 tokens.append(parts[0])
-                tags.append(parts[1])
-            else:
-                line = line.rstrip("\n")
-                raise DataError(f"{path}:{lineno}: expected 'token tag', got {line!r}")
-        flush()
-    return sentences
+                tags.append(parts[-1])
+            elif parts and parts[0] != "-DOCSTART-":
+                raise DataError(f"{path}:{lineno}: expected 'token ... tag', got {parts[0]!r}")
+            elif tokens:
+                if strict:
+                    bad = validate_bio(tags)
+                elif well_formed.issuperset(tags):
+                    bad = []
+                else:
+                    bad = [i for i, tag in enumerate(tags) if not _well_formed(tag)]
+                    well_formed.update(tags)
+                if bad:
+                    kind = "invalid BIO" if strict else "malformed"
+                    raise DataError(f"{path}:{start + bad[0]}: {kind} tag {tags[bad[0]]!r}")
+                yield ConllSentence(f"{path}:{start}", tuple(tokens), tuple(tags))
+                tokens.clear()
+                tags.clear()
+
+
+def parse_conll(path) -> list[LabeledSentence]:
+    """Every sentence of iter_conll(path, strict=True) as a LabeledSentence,
+    its tokens and tags interned so that equal strings are shared."""
+    return [
+        LabeledSentence(tuple(map(intern, s.tokens)), tuple(map(intern, s.tags)))
+        for s in iter_conll(path)
+    ]
 
 
 def serialize_conll(sentences: Iterable[LabeledSentence], fh) -> None:
@@ -140,18 +148,21 @@ def serialize_conll(sentences: Iterable[LabeledSentence], fh) -> None:
 
 
 def entity_spans(tags: Sequence[str]) -> dict[tuple[int, int], str]:
-    """Maximal B-/I- runs of a tag sequence as {(start, end): type}, with
-    [start, end) token spans in sentence order."""
+    """Chunks of a sequence of well-formed tags as {(start, end): type},
+    with [start, end) token spans in sentence order, read as conlleval
+    reads them: B-x starts a chunk, and so does I-x after O or after a tag
+    of another type. On valid BIO these are the maximal B-/I- runs."""
     spans = {}
     start = None
     for i, tag in enumerate(tags):
-        if tag.startswith("B-"):
+        if tag == "O":
+            if start is not None:
+                spans[start, i] = current
+                start = None
+        elif tag[0] == "B" or start is None or tag[2:] != current:
             if start is not None:
                 spans[start, i] = current
             start, current = i, tag[2:]
-        elif start is not None and not tag.startswith("I-"):
-            spans[start, i] = current
-            start = None
     if start is not None:
         spans[start, len(tags)] = current
     return spans
@@ -159,10 +170,7 @@ def entity_spans(tags: Sequence[str]) -> dict[tuple[int, int], str]:
 
 def dataset_stats(split: Sequence[LabeledSentence]) -> SplitStats:
     """Sentence count plus per-type mention counts and percentages."""
-    counts: dict[str, int] = {}
-    for sentence in split:
-        for entity_type in entity_spans(sentence.tags).values():
-            counts[entity_type] = counts.get(entity_type, 0) + 1
+    counts = Counter(t for s in split for t in entity_spans(s.tags).values())
     total = sum(counts.values())
     per_type = {
         t: (c, 100.0 * c / total if total else 0.0) for t, c in counts.items()

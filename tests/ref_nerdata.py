@@ -1,7 +1,8 @@
 """Reference mention extraction: one frozen EntityMention per B-/I- run.
 
-Used only as an oracle for nerdata.entity_spans, which the scorer and the
-dataset statistics read instead. It reads only sentence.tags.
+Used only as an oracle for nerdata.entity_spans on valid BIO, which the
+scorer and the dataset statistics read instead; on ill-formed tags the
+oracle is ref_conlleval. It reads only sentence.tags.
 """
 
 from xner.gazetteer import EntityMention

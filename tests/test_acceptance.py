@@ -15,7 +15,12 @@ from pathlib import Path
 import pytest
 
 from conftest import make_labeled, make_sentence
-from test_evaluation import oracle_score, random_pair
+from test_evaluation import (
+    assert_matches_conlleval,
+    ill_formed_pred,
+    oracle_score,
+    random_pair,
+)
 from test_masker import check_spanify_postconditions
 from xner.corpus import Document, Sentence
 from xner.evaluation import score, vocab_overlap
@@ -186,7 +191,7 @@ def test_05_released_dataset_statistics():
 
 
 def test_06_scorer_oracle_equivalence():
-    with criterion(6, "scorer matches set-intersection oracle and golden file"):
+    with criterion(6, "scorer matches set-intersection oracle, conlleval and golden file"):
         rng = random.Random(6)
         start = time.perf_counter()
         for _ in range(1000):
@@ -198,6 +203,8 @@ def test_06_scorer_oracle_equivalence():
             assert report.micro.f1 == pytest.approx(f1)
             assert (report.micro.gold, report.micro.predicted,
                     report.micro.correct) == (n_gold, n_pred, correct)
+            ill_formed = ill_formed_pred(rng, gold)
+            assert_matches_conlleval(score(gold, ill_formed), gold, ill_formed)
 
         golden = json.loads((DATA_DIR / "eval_golden.json").read_text())
         report = score(

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from ref_conlleval import evaluate as ref_evaluate
 from xner import pipelines
 from xner.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +340,55 @@ class TestEval:
         assert code == 0
         summary = json.loads(out)
         assert summary["misclassification_rate"] == 1.0
+
+
+    def test_i_after_o_in_four_column_pred_scored_as_conlleval(self, capsys, tmp_path):
+        words = ["EU", "rejects", "German", "call", "to", "boycott", "British", "lamb"]
+        gold_tags = ["B-ORG", "O", "B-MISC", "O", "O", "O", "B-MISC", "O"]
+        pred_tags = ["I-ORG", "O", "I-MISC", "O", "I-ORG", "O", "B-ORG", "O"]
+        gold, pred = tmp_path / "g.conll", tmp_path / "p.conll"
+        for path, tags in ((gold, gold_tags), (pred, pred_tags)):
+            path.write_text(
+                "-DOCSTART- -X- -X- O\n\n"
+                + "".join(f"{w} NNP I-NP {t}\n" for w, t in zip(words, tags))
+            )
+        code, out, err = run_cli(capsys, "eval", "--gold", str(gold), "--pred", str(pred))
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        ref = ref_evaluate([gold_tags], [pred_tags])["micro"]
+        assert (ref["gold"], ref["predicted"], ref["correct"]) == (3, 4, 2)
+        for key in ("precision", "recall", "f1"):
+            assert summary[key] == pytest.approx(ref[key])
+
+    def test_conlleval_data_file_matches_reference(self, capsys):
+        def tag_sequences(path):
+            sequences, tags = [], []
+            for line in path.read_text().splitlines():
+                fields = line.split()
+                if fields and fields[0] != "-DOCSTART-":
+                    tags.append(fields[-1])
+                elif tags:
+                    sequences.append(tags)
+                    tags = []
+            return sequences + [tags] if tags else sequences
+
+        gold = DATA_DIR / "eval_gold.conll"
+        pred = DATA_DIR / "eval_pred_conlleval.conll"
+        code, out, _ = run_cli(capsys, "eval", "--gold", str(gold), "--pred", str(pred))
+        assert code == 0
+        summary = json.loads(out)
+        ref = ref_evaluate(tag_sequences(gold), tag_sequences(pred))["micro"]
+        for key in ("precision", "recall", "f1"):
+            assert summary[key] == pytest.approx(ref[key])
+
+    def test_token_mismatch_names_pred_line(self, capsys, tmp_path):
+        gold = tmp_path / "g.conll"
+        gold.write_text("a O\n\nb O\nc O\n")
+        pred = tmp_path / "p.conll"
+        pred.write_text("a O\n\nb O\nd O\n")
+        code, out, err = run_cli(capsys, "eval", "--gold", str(gold), "--pred", str(pred))
+        assert (code, out) == (2, "")
+        assert err == f"xner: data error: {pred}:3: token mismatch at sentence 1\n"
 
 
 class TestNerStatsSubsampleJoint:

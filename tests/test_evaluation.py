@@ -1,3 +1,7 @@
+import io
+import re
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import make_labeled, random_bio_tags
@@ -10,6 +14,7 @@ from xner.evaluation import (
     score,
     vocab_overlap,
 )
+from xner.nerdata import iter_conll, serialize_conll
 
 
 def oracle_score(gold, pred):
@@ -42,15 +47,40 @@ def oracle_misclassification_rate(gold, pred, from_type, to_type):
     return hits / total if total else 0.0
 
 
+TYPES = ["person", "band", "location"]
+
+
 def random_pair(rng, n_sentences=5, max_len=12):
-    types = ["person", "band", "location"]
     gold, pred = [], []
     for _ in range(n_sentences):
         length = rng.randint(1, max_len)
         text = " ".join(f"w{j}" for j in range(length))
-        gold.append(make_labeled(text, random_bio_tags(rng, length, types)))
-        pred.append(make_labeled(text, random_bio_tags(rng, length, types)))
+        gold.append(make_labeled(text, random_bio_tags(rng, length, TYPES)))
+        pred.append(make_labeled(text, random_bio_tags(rng, length, TYPES)))
     return gold, pred
+
+
+def ill_formed_pred(rng, gold):
+    """Predictions of well-formed tags with no BIO constraint, so an I- tag
+    may follow O or a tag of another type, as a tagger's output can."""
+    choices = ["O", "O"] + [f"{p}-{t}" for t in TYPES for p in "BI"]
+    return [
+        SimpleNamespace(tokens=g.tokens, tags=tuple(rng.choice(choices) for _ in g.tags))
+        for g in gold
+    ]
+
+
+def assert_matches_conlleval(report, gold, pred):
+    ref = ref_evaluate([s.tags for s in gold], [s.tags for s in pred])
+    assert report.micro.precision == pytest.approx(ref["micro"]["precision"])
+    assert report.micro.recall == pytest.approx(ref["micro"]["recall"])
+    assert report.micro.f1 == pytest.approx(ref["micro"]["f1"])
+    for t, scores in ref["per_type"].items():
+        assert report.per_type[t].f1 == pytest.approx(scores["f1"])
+        assert (report.per_type[t].gold, report.per_type[t].predicted,
+                report.per_type[t].correct) == (
+            scores["gold"], scores["predicted"], scores["correct"],
+        )
 
 
 class TestScore:
@@ -111,18 +141,48 @@ class TestScore:
     def test_matches_reference_chunk_scorer(self, rng):
         for _ in range(200):
             gold, pred = random_pair(rng, n_sentences=8)
-            report = score(gold, pred)
-            ref = ref_evaluate([s.tags for s in gold], [s.tags for s in pred])
-            assert report.micro.precision == pytest.approx(ref["micro"]["precision"])
-            assert report.micro.recall == pytest.approx(ref["micro"]["recall"])
-            assert report.micro.f1 == pytest.approx(ref["micro"]["f1"])
-            for t, scores in ref["per_type"].items():
-                assert report.per_type[t].f1 == pytest.approx(scores["f1"])
+            assert_matches_conlleval(score(gold, pred), gold, pred)
+        for _ in range(500):
+            gold, _ = random_pair(rng, n_sentences=8)
+            pred = ill_formed_pred(rng, gold)
+            assert_matches_conlleval(score(gold, pred), gold, pred)
 
     def test_length_mismatch_reported(self):
         gold = [make_labeled("a", ["O"])]
         with pytest.raises(DataError, match="sentences"):
             score(gold, [])
+
+    def test_length_mismatch_reported_both_ways_on_streams(self):
+        gold = [make_labeled("a", ["O"]), make_labeled("b", ["O"])]
+        with pytest.raises(DataError, match="^gold has 2 sentences but pred has 1$"):
+            score(gold, iter(gold[:1]))
+        with pytest.raises(DataError, match="^gold has 1 sentences but pred has 2$"):
+            score(gold[:1], iter(gold))
+        with pytest.raises(DataError, match="^gold has 0 sentences but pred has 2$"):
+            score([], iter(gold))
+
+    def test_token_mismatch_stops_the_pred_stream(self, tmp_path):
+        gold = [make_labeled(f"w{i} x{i}", ["B-a", "O"]) for i in range(6)]
+        k = 3
+        pred = list(gold)
+        pred[k] = make_labeled("other x3", ["B-a", "O"])
+        buffer = io.StringIO()
+        serialize_conll(pred, buffer)
+        path = tmp_path / "pred.conll"
+        path.write_text(buffer.getvalue())
+        pulled = 0
+
+        def one_shot():
+            nonlocal pulled
+            for sentence in iter_conll(path, strict=False):
+                pulled += 1
+                yield sentence
+
+        # Each sentence is two token lines and a blank one.
+        where = re.escape(f"{path}:{3 * k + 1}: token mismatch at sentence {k}")
+        with pytest.raises(DataError, match=where):
+            score(gold, one_shot())
+        assert pulled <= k + 1
 
     def test_token_mismatch_reports_sentence(self):
         gold = [make_labeled("a", ["O"]), make_labeled("b", ["O"])]

@@ -1,10 +1,12 @@
 import io
+import re
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_labeled, random_bio_tags
+from ref_conlleval import is_chunk_end, is_chunk_start, split_tag
 from ref_nerdata import extract_entities
 from xner.errors import DataError
 from xner.gazetteer import mentions_to_bio
@@ -14,6 +16,7 @@ from xner.nerdata import (
     build_joint,
     dataset_stats,
     entity_spans,
+    iter_conll,
     parse_conll,
     serialize_conll,
     subsample,
@@ -71,6 +74,33 @@ class TestParseConll:
         sentences = parse_conll(path)
         assert len(sentences) == 1
 
+    def test_conll2003_docstart_skipped_and_ends_sentence(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_text(
+            "-DOCSTART- -X- -X- O\n\nEU NNP B-NP B-ORG\n"
+            "-DOCSTART- -X- -X- O\nrejects VBZ B-VP O\n\n"
+        )
+        assert [s.tokens for s in parse_conll(path)] == [("EU",), ("rejects",)]
+
+    def test_four_columns_read_first_and_last(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_text(
+            "EU NNP B-NP B-ORG\nrejects VBZ B-VP O\nGerman JJ B-NP B-MISC\n\n"
+            "Peter\tNNP\tB-NP\tB-PER\nBlackburn\tNNP\tI-NP\tI-PER\n"
+        )
+        first, second = parse_conll(path)
+        assert first.tokens == ("EU", "rejects", "German")
+        assert first.tags == ("B-ORG", "O", "B-MISC")
+        assert second.tokens == ("Peter", "Blackburn")
+        assert second.tags == ("B-PER", "I-PER")
+
+    def test_one_field_line_reported(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_text("a O\nlonely\n")
+        for strict in (True, False):
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "):
+                list(iter_conll(path, strict))
+
     def test_invalid_bio_reports_line(self, tmp_path):
         path = tmp_path / "f.conll"
         path.write_text("a O\nb I-person\n\n")
@@ -96,6 +126,23 @@ class TestParseConll:
         path = tmp_path / "rt.conll"
         path.write_text(buffer.getvalue())
         assert parse_conll(path) == sentences
+
+
+class TestIterConllLenient:
+    def test_accepts_well_formed_tags_that_break_bio(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_text("\n\nEU I-ORG\nrejects O\nit I-ORG\nnow B-MISC\nhere I-ORG\n")
+        [s] = iter_conll(path, strict=False)
+        assert s.where == f"{path}:3"
+        assert s.tokens == ("EU", "rejects", "it", "now", "here")
+        assert s.tags == ("I-ORG", "O", "I-ORG", "B-MISC", "I-ORG")
+
+    @pytest.mark.parametrize("tag", ["B-", "I-", "X-ORG", "ORG", "BORG", "o"])
+    def test_malformed_tag_reports_line(self, tmp_path, tag):
+        path = tmp_path / "f.conll"
+        path.write_text(f"a O\n\nb B-x\nc {tag}\n\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: malformed tag"):
+            list(iter_conll(path, strict=False))
 
 
 class TestExtractEntities:
@@ -134,8 +181,24 @@ def _oracle_spans(tags):
     return [(m.start, m.end, m.entity_type) for m in mentions]
 
 
+def _conlleval_spans(tags):
+    """Chunks found by the reference conlleval start and end predicates."""
+    spans = []
+    start = None
+    previous = "O"
+    for i, tag in enumerate([*tags, "O"]):
+        if start is not None and is_chunk_end(previous, tag):
+            spans.append((start, i, chunk_type))
+            start = None
+        if is_chunk_start(previous, tag):
+            start, chunk_type = i, split_tag(tag)[1]
+        previous = tag
+    return spans
+
+
 class TestEntitySpans:
-    """entity_spans against the reference extract_entities."""
+    """entity_spans against the reference extract_entities on valid BIO,
+    and against the reference conlleval chunking on any well-formed tags."""
 
     def test_matches_reference_on_valid_bio(self, rng):
         for _ in range(2000):
@@ -143,15 +206,16 @@ class TestEntitySpans:
             spans = [(s, e, t) for (s, e), t in entity_spans(tags).items()]
             assert spans == _oracle_spans(tags)
 
-    @given(st.lists(st.sampled_from(["O", "B-a", "B-b", "I-a", "I-b", "B-", "X"]), max_size=20))
+    @given(st.lists(st.sampled_from(["O", "B-a", "B-b", "I-a", "I-b"]), max_size=20))
     def test_matches_reference_on_any_tags(self, tags):
         spans = [(s, e, t) for (s, e), t in entity_spans(tags).items()]
-        assert spans == _oracle_spans(tags)
+        assert spans == _conlleval_spans(tags)
 
     def test_i_after_o_and_type_change(self):
-        assert entity_spans(["O", "I-a", "B-a", "I-b", "O", "B-b"]) == {
-            (2, 4): "a", (5, 6): "b",
-        }
+        tags = ["O", "I-a", "B-a", "I-b", "O", "B-b"]
+        expected = {(1, 2): "a", (2, 3): "a", (3, 4): "b", (5, 6): "b"}
+        assert entity_spans(tags) == expected
+        assert _conlleval_spans(tags) == [(s, e, t) for (s, e), t in expected.items()]
 
 
 class TestParseConllInterning:
