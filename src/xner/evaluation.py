@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from xner.errors import DataError
+from xner.masker import build_vocabulary
 from xner.nerdata import entity_spans
 
 # Small built-in English stopword list for vocabulary construction; a
@@ -147,14 +148,8 @@ def top_vocabulary(
 ) -> list[str]:
     """Top-k most frequent lowercased tokens, excluding stopwords and
     pure-punctuation tokens; frequency ties break lexicographically."""
-    counts: Counter = Counter()
-    for token in tokens:
-        low = token.lower()
-        if low in stopwords or _is_punctuation(low):
-            continue
-        counts[low] += 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [w for w, _ in ranked[:k]]
+    words = (w for w in map(str.lower, tokens) if w not in stopwords and not _is_punctuation(w))
+    return build_vocabulary(words, k)
 
 
 def vocab_overlap(

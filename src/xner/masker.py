@@ -36,9 +36,11 @@ class MaskingConfig:
     def __post_init__(self):
         if not 0 < self.mask_rate < 1:
             raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        total = self.mask_token_prob + self.random_token_prob + self.keep_prob
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"replacement probabilities must sum to 1, got {total}")
+        probs = (self.mask_token_prob, self.random_token_prob, self.keep_prob)
+        if not all(0 <= p <= 1 for p in probs):
+            raise ValueError(f"replacement probabilities must be in [0, 1], got {probs}")
+        if abs(sum(probs) - 1.0) > 1e-9:
+            raise ValueError(f"replacement probabilities must sum to 1, got {sum(probs)}")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         if self.min_sentence_len < 1:
@@ -205,8 +207,11 @@ def build_vocabulary(token_texts: Iterable[str], size: int = 50_000) -> list[str
     """Most frequent token texts, ties broken lexicographically.
 
     Used as the draw pool for random replacements; computed once per run
-    from the corpus being masked.
+    from the corpus being masked. The descending sort is stable, so equal
+    counts keep their lexicographic order and no per-token tuple is built.
     """
     counts = Counter(token_texts)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [token for token, _ in ranked[:size]]
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    del ranked[size:]
+    return ranked

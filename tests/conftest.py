@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,13 @@ def random_bio_tags(rng: random.Random, length: int, types) -> list[str]:
             tags.append("O")
             i += 1
     return tags
+
+
+def reference_ranking(tokens, size: int) -> list[str]:
+    """The most frequent tokens, ties broken lexicographically, ranked by
+    an explicit (-count, token) key: the oracle for the in-place ranking."""
+    ranked = sorted(Counter(tokens).items(), key=lambda kv: (-kv[1], kv[0]))
+    return [token for token, _ in ranked[:size]]
 
 
 @pytest.fixture

@@ -269,6 +269,31 @@ class TestMask:
             paths.append(out_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_workers_byte_identical(self, capsys, monkeypatch, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n\n".join(
+            f"Band {d} recorded album {d} in city {d} . "
+            f"Critics praised the album {d} widely and often .\n"
+            f"The tour of band {d} sold out every night of the week ."
+            for d in range(9)
+        ) + "\n")
+        # One-document chunks and one chunk per worker a window, so the
+        # pool merges several windows back into corpus order.
+        monkeypatch.setattr(pipelines, "CHUNK_CHARS", 1)
+        monkeypatch.setattr(pipelines, "WINDOW_CHUNKS", 1)
+        outputs = {}
+        for workers in ("1", "2", "3"):
+            out_path = tmp_path / f"m{workers}.jsonl"
+            code, out, _ = run_cli(
+                capsys, "mask", "--strategy", "span", "--seed", "5",
+                "--input", str(corpus), "--output", str(out_path),
+                "--workers", workers,
+            )
+            assert code == 0
+            outputs[workers] = (out, out_path.read_bytes())
+        assert outputs["1"] == outputs["2"] == outputs["3"]
+        assert json.loads(outputs["1"][0])["sentences"] == 27
+
     def test_bad_rate_is_usage_error(self, capsys, tmp_path, music_corpus):
         code, _, err = run_cli(
             capsys, "mask", "--rate", "1.5", "--input", str(music_corpus),

@@ -3,8 +3,9 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_labeled, random_bio_tags
+from conftest import make_labeled, random_bio_tags, reference_ranking
 from ref_conlleval import evaluate as ref_evaluate
 from ref_nerdata import extract_entities
 from xner.errors import DataError
@@ -12,6 +13,7 @@ from xner.evaluation import (
     DEFAULT_STOPWORDS,
     misclassification_rate,
     score,
+    top_vocabulary,
     vocab_overlap,
 )
 from xner.nerdata import iter_conll, serialize_conll
@@ -273,6 +275,23 @@ class TestVocabOverlap:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             vocab_overlap({"a": ["x"]}, k=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["a", "A", "b", "B", "ab", "The", "the", ".", "?!", "x-1"]),
+            max_size=40,
+        ),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_top_vocabulary_matches_reference_ranking(self, tokens, k):
+        # Small alphabet, so equal counts are common; k runs from below to
+        # above the number of distinct words left after filtering.
+        kept = [
+            t.lower() for t in tokens
+            if t.lower() not in DEFAULT_STOPWORDS and any(c.isalnum() for c in t)
+        ]
+        assert top_vocabulary(tokens, k, DEFAULT_STOPWORDS) == reference_ranking(kept, k)
 
     def test_default_stopwords_applied(self):
         assert "the" in DEFAULT_STOPWORDS

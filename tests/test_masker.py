@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_sentence
+from conftest import make_sentence, reference_ranking
 from xner.masker import (
     MaskedExample,
     MaskingConfig,
@@ -103,6 +105,17 @@ class TestMaskingConfig:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             MaskingConfig(strategy="word")
+
+    @pytest.mark.parametrize("probs", [
+        (1.2, -0.1, -0.1),  # sums to 1
+        (-0.5, 1.0, 0.5),  # sums to 1
+        (0.0, 0.0, 1.0 + 1e-6),
+        (float("nan"), 0.5, 0.5),  # every comparison with NaN is false
+    ])
+    def test_probability_out_of_unit_interval_rejected(self, probs):
+        mask, rand, keep = probs
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            MaskingConfig(mask_token_prob=mask, random_token_prob=rand, keep_prob=keep)
 
 
 class TestSpanify:
@@ -319,3 +332,33 @@ class TestBuildVocabulary:
     def test_size_cap(self):
         vocab = build_vocabulary([f"w{i}" for i in range(100)], size=5)
         assert len(vocab) == 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "c", "ab", "B", "[MASK]"]), max_size=40),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_matches_reference_ranking(self, tokens, size):
+        # A six-token alphabet makes equal counts common; sizes run from
+        # below to above the number of distinct tokens.
+        assert build_vocabulary(tokens, size) == reference_ranking(tokens, size)
+
+    def test_ranking_allocates_no_per_entry_objects(self):
+        # 40K distinct tokens with counts 1 to 3, built before tracing
+        # starts. Ranking may add the ranked list and the sort's key and
+        # merge buffers to the Counter's own peak, but no per-token tuple:
+        # ranking by a (-count, token) key costs over 100 bytes a token.
+        distinct = 40_000
+        tokens = [f"t{i:05d}" for i in range(distinct) for _ in range(1 + i % 3)]
+
+        def traced_peak(fn) -> int:
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        counter_peak = traced_peak(lambda: Counter(tokens))
+        vocabulary_peak = traced_peak(lambda: build_vocabulary(tokens))
+        assert (vocabulary_peak - counter_peak) / distinct <= 48
