@@ -43,8 +43,6 @@ class Sentence:
     doc_id: str
     index: int
     tokens: tuple[str, ...]
-    # Positions of hyperlinked tokens (e.g. Wikipedia anchor text).
-    links: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.index < 0:
@@ -52,8 +50,6 @@ class Sentence:
         if not self.tokens:
             raise ValueError("sentence must contain at least one token")
         check_tokens(self.tokens)
-        if self.links and (min(self.links) < 0 or max(self.links) >= len(self.tokens)):
-            raise ValueError(f"link positions out of range: {sorted(self.links)}")
 
     def __len__(self):
         return len(self.tokens)

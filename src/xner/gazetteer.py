@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from xner.corpus import Sentence, split_text
 from xner.errors import DataError, data_lines
 
-_SOURCES = frozenset({"gazetteer", "gold", "hyperlink", "external"})
+_SOURCES = frozenset({"gazetteer", "gold", "external"})
 
 # Trie terminal marker; safe because token texts are never empty.
 _END = ""
@@ -158,8 +158,8 @@ def load_gazetteer(path, hierarchy=None) -> Gazetteer:
 def _gazetteer_rows(path) -> Iterator[tuple[list[str], tuple[str]]]:
     for lineno, line in data_lines(path):
         parts = line.split("\t")
-        if len(parts) != 2 or not parts[1].strip():
-            raise DataError(f"{path}:{lineno}: expected 'surface<TAB>type'")
+        if len(parts) != 2 or len(parts[1].split()) != 1:
+            raise DataError(f"{path}:{lineno}: expected 'surface<TAB>type', one-word type")
         surface = split_text(parts[0])
         if not surface:
             raise DataError(f"{path}:{lineno}: empty surface form")
@@ -217,16 +217,6 @@ def mentions_to_bio(mentions: Iterable[EntityMention], length: int) -> list[str]
     return tags
 
 
-def pre_annotate(sentence: Sentence, gazetteer: Gazetteer) -> tuple[list[str], set[int]]:
-    """Machine pre-annotation: BIO tags plus positions needing human review.
-
-    Review flags mark hyperlinked positions (sentence.links) not covered
-    by any mention; hyperlinked tokens are likely entities, so an
-    unmatched one deserves annotator attention.
-    """
-    mentions = find_mentions(sentence, gazetteer)
-    tags = mentions_to_bio(mentions, len(sentence))
-    flags = set(sentence.links)
-    for m in mentions:
-        flags.difference_update(range(m.start, m.end))
-    return tags, flags
+def pre_annotate(sentence: Sentence, gazetteer: Gazetteer) -> list[str]:
+    """Machine pre-annotation: BIO tags of the sentence's gazetteer mentions."""
+    return mentions_to_bio(find_mentions(sentence, gazetteer), len(sentence))

@@ -18,6 +18,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import chain, islice
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from xner.corpus import CorpusStats, Document, document_stats, segment
@@ -105,14 +106,13 @@ def _map_pooled(worker, documents: Iterable[Document], workers: int) -> Iterator
             raise
 
 
-def _write_texts(results: Iterable[tuple[str, int, int]], fh) -> tuple[int, int]:
-    """Write each document's text as its result arrives; sum the two counts."""
-    total_a = total_b = 0
-    for text, a, b in results:
+def _write_texts(results: Iterable[tuple], fh, *totals: int) -> tuple[int, ...]:
+    """Write each document's text as its result arrives; add the counts
+    that follow it to the given start totals."""
+    for text, *counts in results:
         fh.write(text)
-        total_a += a
-        total_b += b
-    return total_a, total_b
+        totals = tuple(map(add, totals, counts))
+    return totals
 
 
 def _mask_doc(
@@ -135,7 +135,7 @@ def write_masked(
 ) -> tuple[int, int]:
     """Write masked examples to fh as JSONL in corpus order: (examples, targets)."""
     worker = partial(_mask_doc, cfg=cfg, vocabulary=vocabulary)
-    return _write_texts(map_documents(worker, documents, workers), fh)
+    return _write_texts(map_documents(worker, documents, workers), fh, 0, 0)
 
 
 def _select_doc(
@@ -244,25 +244,23 @@ def write_groups(groups: Iterable[list[str]], fh) -> tuple[int, int]:
     return sentences, tokens
 
 
-def _annotate_doc(doc: Document, gazetteer: Gazetteer) -> tuple[str, int, int]:
+def _annotate_doc(doc: Document, gazetteer: Gazetteer) -> tuple[str, int]:
     lines = []
-    flagged = 0
     sentences = segment(doc)
     for sentence in sentences:
-        tags, flags = pre_annotate(sentence, gazetteer)
-        flagged += len(flags)
-        lines.extend(map("{} {}\n".format, sentence.tokens, tags))
+        lines.extend(map("{} {}\n".format, sentence.tokens, pre_annotate(sentence, gazetteer)))
         lines.append("\n")
-    return "".join(lines), len(sentences), flagged
+    return "".join(lines), len(sentences)
 
 
 def write_pre_annotated(
     documents: Iterable[Document], gazetteer: Gazetteer, fh, workers: int = 1
-) -> tuple[int, int]:
-    """Write the CoNLL pre-annotation of documents to fh in corpus order:
-    (sentences, review flags)."""
+) -> int:
+    """Write the CoNLL pre-annotation of documents to fh in corpus order;
+    return the sentence count."""
     worker = partial(_annotate_doc, gazetteer=gazetteer)
-    return _write_texts(map_documents(worker, documents, workers), fh)
+    (sentences,) = _write_texts(map_documents(worker, documents, workers), fh, 0)
+    return sentences
 
 
 def stats_documents(documents: Iterable[Document], workers: int = 1) -> CorpusStats:

@@ -102,7 +102,7 @@ def load_external_mentions(path) -> dict[tuple[str, int], list[EntityMention]]:
                 str(rec["type"]),
                 source="external",
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: bad mention record: {exc}") from exc
         index.setdefault((mention.doc_id, mention.sentence_index), []).append(mention)
     return index

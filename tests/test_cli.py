@@ -44,7 +44,7 @@ def gazetteer_file(tmp_path):
         "Nevermind\talbum\n"
         "Seattle\tlocation\n"
         "Kurt Cobain\tperson\n"
-        "Kurt Cobain\tmusical artist\n"
+        "Kurt Cobain\tmusicalartist\n"
         "Radiohead\tband\n"
         "Kid A\talbum\n"
         "October\tmiscellaneous\n"
@@ -62,7 +62,7 @@ def specialized_file(tmp_path):
 @pytest.fixture
 def hierarchy_file(tmp_path):
     path = tmp_path / "h.tsv"
-    path.write_text("musical artist\tperson\n")
+    path.write_text("musicalartist\tperson\n")
     return path
 
 
@@ -478,6 +478,16 @@ class TestOverlapAndPreAnnotate:
         assert summary["values"][0][0] == 100.0
         assert summary["values"][0][1] == 100.0
 
+    def test_overlap_repeated_name_is_usage_error(self, capsys, tmp_path, music_corpus):
+        other = tmp_path / "other.txt"
+        other.write_text("Completely different words here.\n")
+        code, out, err = run_cli(
+            capsys, "overlap", "--inputs", f"a={music_corpus}", f"a={other}",
+        )
+        assert code == 1
+        assert out == ""
+        assert "'a'" in err
+
     def test_pre_annotate(self, capsys, tmp_path, music_corpus, gazetteer_file):
         out_path = tmp_path / "pre.conll"
         code, out, _ = run_cli(
@@ -489,6 +499,40 @@ class TestOverlapAndPreAnnotate:
         text = out_path.read_text()
         assert "Nirvana B-band" in text
         assert "Nevermind B-album" in text
+
+    def test_pre_annotate_output_scores_against_itself(
+        self, capsys, tmp_path, music_corpus, gazetteer_file, hierarchy_file
+    ):
+        out_path = tmp_path / "pre.conll"
+        code, _, _ = run_cli(
+            capsys, "pre-annotate", "--input", str(music_corpus),
+            "--gazetteer", str(gazetteer_file), "--hierarchy", str(hierarchy_file),
+            "--output", str(out_path), "--workers", "1",
+        )
+        assert code == 0
+        assert "Kurt B-musicalartist" in out_path.read_text()
+        for argv in (
+            ("ner-stats", "--input", str(out_path)),
+            ("eval", "--gold", str(out_path), "--pred", str(out_path)),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        assert json.loads(out)["f1"] == 1.0
+
+    def test_pre_annotate_type_with_whitespace_is_data_error(
+        self, capsys, tmp_path, music_corpus
+    ):
+        gazetteer = tmp_path / "g.tsv"
+        gazetteer.write_text("Nirvana\tmusical band\n")
+        out_path = tmp_path / "pre.conll"
+        code, out, err = run_cli(
+            capsys, "pre-annotate", "--input", str(music_corpus),
+            "--gazetteer", str(gazetteer), "--output", str(out_path), "--workers", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{gazetteer}:1: expected 'surface<TAB>type', one-word type" in err
+        assert not out_path.exists()
 
     def test_pre_annotate_workers_byte_identical(
         self, capsys, tmp_path, music_corpus, gazetteer_file, hierarchy_file

@@ -81,12 +81,6 @@ class TestSentence:
         with pytest.raises(TypeError):
             sentence.tokens[0] = "y"
 
-    def test_links_in_range(self):
-        assert Sentence("d", 0, ("a", "b"), frozenset({1})).links == {1}
-        for links in ({2}, {-1}):
-            with pytest.raises(ValueError):
-                Sentence("d", 0, ("a", "b"), frozenset(links))
-
 
 class TestSegment:
     def test_no_paragraphs(self):

@@ -14,7 +14,6 @@ from xner.gazetteer import (
     pre_annotate,
     resolve_type,
 )
-from xner.corpus import Sentence
 from xner.nerdata import validate_bio
 
 
@@ -53,13 +52,13 @@ class TestLoadGazetteer:
 
     def test_single_entry(self, tmp_path):
         path = tmp_path / "g.tsv"
-        path.write_text("Mars\tastronomical object\n")
+        path.write_text("Mars\tastronomicalobject\n")
         g = load_gazetteer(path)
         assert len(g) == 1
         assert is_entry(g, ("Mars",))
         assert not is_entry(g, ("Mars", "Mars"))
         [m] = find_mentions(make_sentence("Mars rose"), g)
-        assert m.entity_type == "astronomical object"
+        assert m.entity_type == "astronomicalobject"
 
     def test_duplicate_surface_merges_types(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -76,7 +75,7 @@ class TestLoadGazetteer:
 
     def test_surface_tokenized_with_corpus_rules(self, tmp_path):
         path = tmp_path / "g.tsv"
-        path.write_text("People's Party\tpolitical party\n")
+        path.write_text("People's Party\tpoliticalparty\n")
         g = load_gazetteer(path)
         assert is_entry(g, ("People", "'s", "Party"))
 
@@ -290,31 +289,16 @@ class TestFindMentions:
 
 
 class TestPreAnnotate:
-    def test_no_matches_no_hyperlinks(self):
-        s = make_sentence("just plain words")
-        tags, flags = pre_annotate(s, Gazetteer())
-        assert tags == ["O", "O", "O"]
-        assert flags == set()
+    def test_no_matches(self):
+        assert pre_annotate(make_sentence("just plain words"), Gazetteer()) == ["O", "O", "O"]
 
     def test_bio_construction(self):
         g = Gazetteer({("Brand", "Nubian"): {"band"}})
         s = make_sentence("guest appearance by rappers of Brand Nubian today")
-        tags, _ = pre_annotate(s, g)
+        tags = pre_annotate(s, g)
         assert tags[5] == "B-band"
         assert tags[6] == "I-band"
         assert all(t == "O" for i, t in enumerate(tags) if i not in (5, 6))
-
-    def test_unmatched_hyperlink_flagged(self):
-        s = Sentence("d", 0, ("a", "b", "linked", "c"), links=frozenset({2}))
-        tags, flags = pre_annotate(s, Gazetteer())
-        assert tags[2] == "O"
-        assert flags == {2}
-
-    def test_matched_hyperlink_not_flagged(self):
-        s = Sentence("d", 0, ("Nirvana", "played"), links=frozenset({0}))
-        g = Gazetteer({("Nirvana",): {"band"}})
-        _, flags = pre_annotate(s, g)
-        assert flags == set()
 
     def test_tags_always_valid_bio(self, rng):
         vocab = ["a", "b", "c"]
@@ -324,5 +308,5 @@ class TestPreAnnotate:
                 for _ in range(rng.randint(0, 5))
             }
             s = make_sentence(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
-            tags, _ = pre_annotate(s, Gazetteer(entries))
+            tags = pre_annotate(s, Gazetteer(entries))
             assert validate_bio(tags) == []

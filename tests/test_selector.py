@@ -85,6 +85,16 @@ class TestEntityLevel:
         with pytest.raises(DataError, match=":1:"):
             load_external_mentions(path)
 
+    @pytest.mark.parametrize("value", ["1e999", "-Infinity", "NaN"])
+    def test_external_mentions_non_finite_offset(self, tmp_path, value):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"doc_id": "d", "sentence_index": 0, "start": 0, "end": 1, "type": "band"}\n'
+            f'{{"doc_id": "d", "sentence_index": 0, "start": {value}, "end": 2, "type": "x"}}\n'
+        )
+        with pytest.raises(DataError, match=":2: bad mention record"):
+            load_external_mentions(path)
+
 
 class TestTaskLevel:
     def test_non_specialized_mentions_excluded(self):
