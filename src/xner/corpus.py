@@ -60,10 +60,9 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Document:
-    """A raw document: ordered paragraphs plus a domain tag."""
+    """A raw document: its id and ordered paragraphs."""
 
     id: str
-    domain: str
     paragraphs: tuple[str, ...]
 
 
@@ -210,22 +209,22 @@ def corpus_tokens(documents: Iterable[Document]) -> Iterator[str]:
     )
 
 
-def load_corpus(path, format: str = "plain", domain: str = "") -> Iterator[Document]:
+def load_corpus(path, format: str = "plain") -> Iterator[Document]:
     """Lazily load documents from a file.
 
     plain: one paragraph per line, blank line starts a new document.
-    jsonl: one JSON record per line with keys id, domain, text
-    (paragraphs separated by newlines inside text).
+    jsonl: one JSON record per line with string keys id and text
+    (paragraphs separated by newlines inside text); other keys are ignored.
     """
     path = Path(path)
     if format == "plain":
-        return _load_plain(path, domain)
+        return _load_plain(path)
     if format == "jsonl":
         return _load_jsonl(path)
     raise ValueError(f"unknown corpus format: {format!r}")
 
 
-def _load_plain(path: Path, domain: str) -> Iterator[Document]:
+def _load_plain(path: Path) -> Iterator[Document]:
     paragraphs: list[str] = []
     count = 0
     with open_text(path) as fh:
@@ -234,11 +233,11 @@ def _load_plain(path: Path, domain: str) -> Iterator[Document]:
             if line.strip():
                 paragraphs.append(line)
             elif paragraphs:
-                yield Document(f"{path.stem}-{count:06d}", domain, tuple(paragraphs))
+                yield Document(f"{path.stem}-{count:06d}", tuple(paragraphs))
                 count += 1
                 paragraphs = []
     if paragraphs:
-        yield Document(f"{path.stem}-{count:06d}", domain, tuple(paragraphs))
+        yield Document(f"{path.stem}-{count:06d}", tuple(paragraphs))
 
 
 def _load_jsonl(path: Path) -> Iterator[Document]:
@@ -247,7 +246,11 @@ def _load_jsonl(path: Path) -> Iterator[Document]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict) or "id" not in record or "text" not in record:
-            raise DataError(f"{path}:{lineno}: record must have 'id' and 'text'")
-        paragraphs = tuple(p for p in str(record["text"]).split("\n") if p.strip())
-        yield Document(str(record["id"]), str(record.get("domain", "")), paragraphs)
+        if not (
+            isinstance(record, dict)
+            and isinstance(record.get("id"), str)
+            and isinstance(record.get("text"), str)
+        ):
+            raise DataError(f"{path}:{lineno}: record must have string 'id' and 'text'")
+        paragraphs = tuple(p for p in record["text"].split("\n") if p.strip())
+        yield Document(record["id"], paragraphs)

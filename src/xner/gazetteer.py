@@ -7,34 +7,21 @@ entry) and stays practical on corpora of 10^8 tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from xner.corpus import Sentence, split_text
 from xner.errors import DataError, data_lines
-
-_SOURCES = frozenset({"gazetteer", "gold", "external"})
 
 # Trie terminal marker; safe because token texts are never empty.
 _END = ""
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class EntityMention(NamedTuple):
     """A typed token span [start, end) within one sentence."""
 
-    doc_id: str
-    sentence_index: int
     start: int
     end: int
     entity_type: str
-    source: str = "gazetteer"
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"bad span [{self.start}, {self.end})")
-        if self.source not in _SOURCES:
-            raise ValueError(f"unknown mention source: {self.source!r}")
 
 
 class TypeHierarchy:
@@ -196,11 +183,7 @@ def find_mentions(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMentio
             i += 1
             continue
         end, entity_type = match
-        mentions.append(
-            EntityMention(
-                sentence.doc_id, sentence.index, i, end, entity_type, source="gazetteer"
-            )
-        )
+        mentions.append(EntityMention(i, end, entity_type))
         i = end
     return mentions
 

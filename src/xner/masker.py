@@ -20,6 +20,7 @@ from xner.corpus import Sentence
 from xner.seeding import stable_hash
 
 _STRATEGIES = ("token", "span")
+MASK_SYMBOL = "[MASK]"
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class MaskingConfig:
     strategy: str = "token"
     seed: int = 0
     min_sentence_len: int = 5
-    mask_symbol: str = "[MASK]"
 
     def __post_init__(self):
         if not 0 < self.mask_rate < 1:
@@ -58,13 +58,10 @@ class MaskTarget:
 class MaskedExample:
     doc_id: str
     sentence_index: int
-    original_tokens: tuple[str, ...]
     output_tokens: tuple[str, ...]
     targets: tuple[MaskTarget, ...]
 
     def __post_init__(self):
-        if len(self.output_tokens) != len(self.original_tokens):
-            raise ValueError("output and original token counts differ")
         positions = [t.position for t in self.targets]
         if positions != sorted(set(positions)):
             raise ValueError("target positions must be strictly increasing")
@@ -162,16 +159,14 @@ def apply_replacements(
         roll = rng.random()
         if roll < cfg.mask_token_prob:
             kind = "mask"
-            output[position] = cfg.mask_symbol
+            output[position] = MASK_SYMBOL
         elif roll < cfg.mask_token_prob + cfg.random_token_prob:
             kind = "random"
             output[position] = vocabulary[rng.randrange(len(vocabulary))]
         else:
             kind = "keep"
         targets.append(MaskTarget(position, original, kind))
-    return MaskedExample(
-        doc_id, sentence_index, tuple(tokens), tuple(output), tuple(targets)
-    )
+    return MaskedExample(doc_id, sentence_index, tuple(output), tuple(targets))
 
 
 def sentence_rng(cfg: MaskingConfig, doc_id: str, sentence_index: int) -> random.Random:

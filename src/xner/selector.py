@@ -94,15 +94,11 @@ def load_external_mentions(path) -> dict[tuple[str, int], list[EntityMention]]:
     for lineno, line in data_lines(path):
         try:
             rec = json.loads(line)
-            mention = EntityMention(
-                str(rec["doc_id"]),
-                int(rec["sentence_index"]),
-                int(rec["start"]),
-                int(rec["end"]),
-                str(rec["type"]),
-                source="external",
-            )
+            key = (str(rec["doc_id"]), int(rec["sentence_index"]))
+            mention = EntityMention(int(rec["start"]), int(rec["end"]), str(rec["type"]))
+            if not 0 <= mention.start < mention.end:
+                raise ValueError(f"bad span [{mention.start}, {mention.end})")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: bad mention record: {exc}") from exc
-        index.setdefault((mention.doc_id, mention.sentence_index), []).append(mention)
+        index.setdefault(key, []).append(mention)
     return index

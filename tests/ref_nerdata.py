@@ -1,4 +1,4 @@
-"""Reference mention extraction: one frozen EntityMention per B-/I- run.
+"""Reference mention extraction: one EntityMention per B-/I- run.
 
 Used only as an oracle for nerdata.entity_spans on valid BIO, which the
 scorer and the dataset statistics read instead; on ill-formed tags the
@@ -8,7 +8,7 @@ oracle is ref_conlleval. It reads only sentence.tags.
 from xner.gazetteer import EntityMention
 
 
-def extract_entities(sentence, doc_id: str = "", sentence_index: int = 0):
+def extract_entities(sentence):
     """Maximal B-/I- runs as gold mentions with [start, end) token spans."""
     mentions = []
     start = None
@@ -16,22 +16,14 @@ def extract_entities(sentence, doc_id: str = "", sentence_index: int = 0):
     for i, tag in enumerate(sentence.tags):
         if tag.startswith("B-"):
             if start is not None:
-                mentions.append(
-                    EntityMention(doc_id, sentence_index, start, i, current, "gold")
-                )
+                mentions.append(EntityMention(start, i, current))
             start, current = i, tag[2:]
         elif tag.startswith("I-"):
             continue
         else:
             if start is not None:
-                mentions.append(
-                    EntityMention(doc_id, sentence_index, start, i, current, "gold")
-                )
+                mentions.append(EntityMention(start, i, current))
             start = current = None
     if start is not None:
-        mentions.append(
-            EntityMention(
-                doc_id, sentence_index, start, len(sentence.tags), current, "gold"
-            )
-        )
+        mentions.append(EntityMention(start, len(sentence.tags), current))
     return mentions

@@ -115,7 +115,7 @@ def _random_documents(rng, n_docs, words, max_paragraphs=6, max_words=12):
             " ".join(rng.choice(words) for _ in range(rng.randint(3, max_words)))
             for _ in range(rng.randint(1, max_paragraphs))
         )
-        docs.append(Document(f"doc{d}", "synthetic", paragraphs))
+        docs.append(Document(f"doc{d}", paragraphs))
     return docs
 
 
@@ -268,7 +268,6 @@ def _parallel_corpus(n_docs=1000, paragraphs_per_doc=100):
     return [
         Document(
             f"doc{d}",
-            "synthetic",
             tuple(
                 " ".join(rng.choice(words) for _ in range(rng.randint(5, 12)))
                 for _ in range(paragraphs_per_doc)

@@ -239,6 +239,55 @@ class TestExtract:
         )
 
 
+    @staticmethod
+    def _extract_entity(capsys, out_path, corpus, gazetteer, *extra):
+        code, out, _ = run_cli(
+            capsys, "extract", "--level", "entity", "--min-mentions", "1",
+            "--input", str(corpus), "--gazetteer", str(gazetteer),
+            "--output", str(out_path), *extra,
+        )
+        assert code == 0
+        return json.loads(out), out_path.read_text()
+
+    def test_percent_100_and_0(self, capsys, tmp_path, music_corpus, gazetteer_file):
+        _, full = self._extract_entity(
+            capsys, tmp_path / "full.txt", music_corpus, gazetteer_file, "--workers", "1"
+        )
+        assert full.count("\n") >= 4
+        _, hundred = self._extract_entity(
+            capsys, tmp_path / "100.txt", music_corpus, gazetteer_file,
+            "--workers", "1", "--percent", "100",
+        )
+        assert hundred == full
+        summary, zero = self._extract_entity(
+            capsys, tmp_path / "0.txt", music_corpus, gazetteer_file,
+            "--workers", "1", "--percent", "0",
+        )
+        assert (summary["sentences"], zero) == (0, "")
+
+    def test_percent_50_worker_identical_in_order_subset(
+        self, capsys, monkeypatch, tmp_path, music_corpus, gazetteer_file
+    ):
+        monkeypatch.setattr(pipelines, "CHUNK_CHARS", 1)
+        _, full = self._extract_entity(
+            capsys, tmp_path / "full.txt", music_corpus, gazetteer_file, "--workers", "1"
+        )
+        outputs = [
+            self._extract_entity(
+                capsys, tmp_path / f"half{workers}.txt", music_corpus, gazetteer_file,
+                "--workers", workers, "--percent", "50", "--seed", "3",
+            )
+            for workers in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        summary, half = outputs[0]
+        lines = [line for line in half.splitlines() if line]
+        full_lines = [line for line in full.splitlines() if line]
+        assert 0 < len(lines) == summary["sentences"] < len(full_lines)
+        remaining = iter(full_lines)
+        assert all(line in remaining for line in lines)  # an in-order subsequence
+
+
 class TestMask:
     def test_mask_summary_and_output(self, capsys, tmp_path, music_corpus):
         out_path = tmp_path / "m.jsonl"
@@ -367,6 +416,15 @@ class TestEval:
         assert summary["misclassification_rate"] == 1.0
 
 
+    def test_malformed_misclassification_flag_is_usage_error(self, capsys, tmp_path):
+        conll = tmp_path / "g.conll"
+        conll.write_text("Nirvana B-band\n\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--gold", str(conll), "--pred", str(conll), "--misclassify", "x",
+        )
+        assert (code, out) == (1, "")
+        assert "usage error" in err
+
     def test_i_after_o_in_four_column_pred_scored_as_conlleval(self, capsys, tmp_path):
         words = ["EU", "rejects", "German", "call", "to", "boycott", "British", "lamb"]
         gold_tags = ["B-ORG", "O", "B-MISC", "O", "O", "O", "B-MISC", "O"]
@@ -477,6 +535,13 @@ class TestOverlapAndPreAnnotate:
         assert summary["domains"] == ["a", "b"]
         assert summary["values"][0][0] == 100.0
         assert summary["values"][0][1] == 100.0
+
+    def test_overlap_non_positive_top_k_is_usage_error(self, capsys, music_corpus):
+        code, out, err = run_cli(
+            capsys, "overlap", "--inputs", f"a={music_corpus}", "--top-k", "0",
+        )
+        assert (code, out) == (1, "")
+        assert "usage error" in err
 
     def test_overlap_repeated_name_is_usage_error(self, capsys, tmp_path, music_corpus):
         other = tmp_path / "other.txt"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -84,14 +86,14 @@ class TestSentence:
 
 class TestSegment:
     def test_no_paragraphs(self):
-        assert segment(Document("d", "", ())) == []
+        assert segment(Document("d", ())) == []
 
     def test_terminal_punctuation_rule(self):
-        sentences = segment(Document("d", "", ("A b. C d.",)))
+        sentences = segment(Document("d", ("A b. C d.",)))
         assert [s.tokens for s in sentences] == [("A", "b", "."), ("C", "d", ".")]
 
     def test_end_of_paragraph_closes_sentence(self):
-        sentences = segment(Document("d", "", ("A b c",)))
+        sentences = segment(Document("d", ("A b c",)))
         assert [s.tokens for s in sentences] == [("A", "b", "c")]
 
     def test_abbreviation_not_split(self):
@@ -106,12 +108,12 @@ class TestSegment:
         ]
 
     def test_indices_dense_and_doc_id_set(self):
-        sentences = segment(Document("doc9", "", ("One. Two.", "Three.")))
+        sentences = segment(Document("doc9", ("One. Two.", "Three.")))
         assert [s.index for s in sentences] == [0, 1, 2]
         assert all(s.doc_id == "doc9" for s in sentences)
 
     def test_token_total_matches_paragraph_tokenization(self):
-        doc = Document("d", "", ("A b. C d!", "Hello there."))
+        doc = Document("d", ("A b. C d!", "Hello there."))
         total = sum(len(s) for s in segment(doc))
         by_paragraph = sum(len(split_text(p)) for p in doc.paragraphs)
         assert total == by_paragraph
@@ -120,7 +122,7 @@ class TestSegment:
     @given(st.lists(_text, max_size=4))
     @example(["Ask Dr.! Then etc.. Go? No."])
     def test_matches_reference_segmenter(self, paragraphs):
-        doc = Document("d", "", tuple(paragraphs))
+        doc = Document("d", tuple(paragraphs))
         assert split_sentences("".join(paragraphs)) == ref_tokenizer.split_sentences(
             "".join(paragraphs)
         )
@@ -142,12 +144,12 @@ class TestCorpusStats:
 
     def test_hand_count(self):
         # "A b." -> 3 tokens, "C d e f" -> 4 tokens
-        doc = Document("d", "", ("A b. C d e f",))
+        doc = Document("d", ("A b. C d e f",))
         assert stats_documents([doc]) == CorpusStats(1, 2, 7)
 
     def test_additive(self):
-        a = [Document("a", "", ("X y. Z w.",))]
-        b = [Document("b", "", ("Hello there friend.", "Bye now."))]
+        a = [Document("a", ("X y. Z w.",))]
+        b = [Document("b", ("Hello there friend.", "Bye now."))]
         assert stats_documents(a + b) == stats_documents(a) + stats_documents(b)
 
 
@@ -178,6 +180,16 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "text": "x"}\nnot json\n')
         with pytest.raises(DataError, match=":2:"):
+            list(load_corpus(path, "jsonl"))
+
+    @pytest.mark.parametrize("value", [None, 5, [1], {"a": 1}])
+    @pytest.mark.parametrize("key", ["id", "text"])
+    def test_jsonl_non_string_id_or_text_reports_line(self, tmp_path, key, value):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"id": "a", "text": "x"}\n' + json.dumps({"id": "b", "text": "y", key: value})
+        )
+        with pytest.raises(DataError, match=":2: record must have string 'id' and 'text'"):
             list(load_corpus(path, "jsonl"))
 
     def test_unknown_format(self, tmp_path):

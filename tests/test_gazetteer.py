@@ -217,9 +217,8 @@ class TestFindMentions:
         })
         s = make_sentence("the United Socialist Party of Venezuela drew votes")
         mentions = find_mentions(s, g)
-        assert mentions == [
-            EntityMention("d", 0, 1, 6, "political party", "gazetteer")
-        ]
+        assert mentions == [(1, 6, "political party")]
+        assert EntityMention._fields == ("start", "end", "entity_type")
 
     def test_longest_at_position(self):
         g = Gazetteer({

@@ -299,20 +299,16 @@ class TestMaskCorpus:
 
 
 class TestMaskedExample:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MaskedExample("d", 0, ("a",), ("a", "b"), ())
-
     def test_duplicate_target_positions_rejected(self):
         with pytest.raises(ValueError):
             MaskedExample(
-                "d", 0, ("a", "b"), ("a", "b"),
+                "d", 0, ("a", "b"),
                 (MaskTarget(1, "b", "keep"), MaskTarget(1, "b", "keep")),
             )
 
     def test_record_round_trip_fields(self):
         example = MaskedExample(
-            "d", 3, ("a", "b"), ("[MASK]", "b"),
+            "d", 3, ("[MASK]", "b"),
             (MaskTarget(0, "a", "mask"),),
         )
         record = example.to_record()

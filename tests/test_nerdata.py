@@ -153,7 +153,7 @@ class TestExtractEntities:
     def test_single_mention(self):
         s = make_labeled("Brand Nubian etc", ["B-band", "I-band", "O"])
         [m] = extract_entities(s)
-        assert (m.start, m.end, m.entity_type, m.source) == (0, 2, "band", "gold")
+        assert (m.start, m.end, m.entity_type) == (0, 2, "band")
 
     def test_adjacent_b_tags(self):
         s = make_labeled("Help Yesterday", ["B-song", "B-song"])

@@ -77,7 +77,6 @@ class TestEntityLevel:
         s = make_sentence("anything at all")
         out = list(select_entity_level([s], None, mentions=mentions))
         assert out == [s]
-        assert mentions[("d", 0)][0].source == "external"
 
     def test_external_mentions_bad_record(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -93,6 +92,16 @@ class TestEntityLevel:
             f'{{"doc_id": "d", "sentence_index": 0, "start": {value}, "end": 2, "type": "x"}}\n'
         )
         with pytest.raises(DataError, match=":2: bad mention record"):
+            load_external_mentions(path)
+
+    @pytest.mark.parametrize("start, end", [(1, 1), (2, 1), (-1, 1)])
+    def test_external_mentions_bad_span(self, tmp_path, start, end):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"doc_id": "d", "sentence_index": 0, "start": 0, "end": 1, "type": "band"}\n'
+            f'{{"doc_id": "d", "sentence_index": 0, "start": {start}, "end": {end}, "type": "x"}}\n'
+        )
+        with pytest.raises(DataError, match=r":2: bad mention record: bad span"):
             load_external_mentions(path)
 
 
@@ -130,10 +139,10 @@ class TestBuildIntegrated:
         # mentions make it entity-level only, one "T" makes it task-level only.
         g = Gazetteer({("E",): {"plain"}, ("T",): {"special"}})
         docs = [
-            Document(f"e{i}", "", (" ".join(["E", "E"] + ["w"] * (n - 2)),))
+            Document(f"e{i}", (" ".join(["E", "E"] + ["w"] * (n - 2)),))
             for i, n in enumerate(entity_lengths)
         ] + [
-            Document(f"t{i}", "", (" ".join(["T"] + ["w"] * (n - 1)),))
+            Document(f"t{i}", (" ".join(["T"] + ["w"] * (n - 1)),))
             for i, n in enumerate(task_lengths)
         ]
         return [
