@@ -16,11 +16,10 @@ import os
 import stat
 import sys
 import tempfile
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
 from xner.corpus import corpus_tokens, load_corpus
-from xner.errors import DataError, UsageError, data_lines
+from xner.errors import DataError, UsageError, WorkerError, data_lines
 from xner.evaluation import misclassification_rate, score, vocab_overlap
 from xner.gazetteer import TypeHierarchy, load_gazetteer
 from xner.masker import MaskingConfig, build_vocabulary
@@ -362,7 +361,7 @@ def run(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"xner: data error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
+    except WorkerError as exc:
         print(f"xner: worker process died: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

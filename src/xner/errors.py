@@ -16,6 +16,10 @@ class UsageError(ValueError):
     """Invalid configuration or command-line usage."""
 
 
+class WorkerError(RuntimeError):
+    """A pool worker process died; the pool has been shut down."""
+
+
 @contextmanager
 def open_text(path):
     """Open path for reading as UTF-8 text; invalid UTF-8 raises

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import chain, islice
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from xner.corpus import CorpusStats, Document, document_stats, segment
+from xner.errors import WorkerError
 from xner.gazetteer import Gazetteer, pre_annotate
 from xner.masker import MaskingConfig, mask_corpus
 from xner.selector import (
@@ -40,6 +41,14 @@ LEVELS = ("entity", "task", "integrated")
 # worker, and two windows in flight bound the memory a pooled run holds.
 CHUNK_CHARS = 16_384
 WINDOW_CHUNKS = 8
+
+
+def __getattr__(name):
+    # The process-pool modules load only when a run starts a pool.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 # The worker of the current pool process, set once by the pool initializer.
@@ -86,8 +95,11 @@ def _map_pooled(worker, documents: Iterable[Document], workers: int) -> Iterator
     if len(head) <= 1:
         yield from map(worker, head)
         return
+    from concurrent.futures.process import BrokenProcessPool
+
     chunks = _chunks(chain(head, documents))
-    with ProcessPoolExecutor(
+    # The module attribute, so that a pool class set on it is used.
+    with sys.modules[__name__].ProcessPoolExecutor(
         max_workers=workers, initializer=_set_pool_worker, initargs=(worker,)
     ) as pool:
         try:
@@ -100,9 +112,11 @@ def _map_pooled(worker, documents: Iterable[Document], workers: int) -> Iterator
                 yield from chain.from_iterable(pending)
                 pending = submitted
             yield from chain.from_iterable(pending)
-        except BaseException:
+        except BaseException as exc:
             # An error, Ctrl-C or an abandoned stream: do not finish the corpus.
             pool.shutdown(cancel_futures=True)
+            if isinstance(exc, BrokenProcessPool):
+                raise WorkerError(str(exc)) from exc
             raise
 
 

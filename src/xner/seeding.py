@@ -5,14 +5,15 @@ All sampling decisions in the pipelines are keyed on a stable hash of
 identical regardless of worker count or shard order.
 """
 
-import hashlib
+# _blake2 is what hashlib.blake2b is; importing hashlib would also load OpenSSL.
+from _blake2 import blake2b
 
 _SEP = b"\x1f"
 
 
 def stable_hash(*parts) -> int:
     """64-bit hash of the given parts, stable across processes and runs."""
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     for part in parts:
         h.update(str(part).encode("utf-8"))
         h.update(_SEP)

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping
 
 from xner.corpus import Sentence
 from xner.errors import DataError, data_lines
 from xner.gazetteer import EntityMention, Gazetteer, find_mentions
 from xner.seeding import unit_interval
 
-# Mention lookup for external annotations: (doc_id, sentence_index) -> mentions.
-MentionIndex = Mapping[tuple[str, int], list[EntityMention]]
+# External mentions: (doc_id, sentence_index) -> {mention: its first "path:line"}.
+MentionIndex = Mapping[tuple[str, int], Mapping[EntityMention, str]]
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,17 @@ class SelectorConfig:
 
 def _sentence_mentions(
     sentence: Sentence, gazetteer: Gazetteer | None, mentions: MentionIndex | None
-) -> list[EntityMention]:
-    if mentions is not None:
-        return mentions.get((sentence.doc_id, sentence.index), [])
-    return find_mentions(sentence, gazetteer)
+) -> Collection[EntityMention]:
+    if mentions is None:
+        return find_mentions(sentence, gazetteer)
+    found = mentions.get((sentence.doc_id, sentence.index), {})
+    for mention, where in found.items():
+        if mention.end > len(sentence):
+            raise DataError(
+                f"{where}: bad mention record: span [{mention.start}, {mention.end}) "
+                f"is past the end of a {len(sentence)}-token sentence"
+            )
+    return found
 
 
 def select_entity_level(
@@ -85,20 +92,36 @@ def sample_fraction(
             yield sentence
 
 
-def load_external_mentions(path) -> dict[tuple[str, int], list[EntityMention]]:
+def _field(rec: dict, name: str, kind: type):
+    value = rec[name]
+    if type(value) is not kind:  # so a bool, though an int, is rejected
+        what = "an integer" if kind is int else "a string"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def load_external_mentions(path) -> dict[tuple[str, int], dict[EntityMention, str]]:
     """Load a JSONL mention file into a (doc_id, sentence_index) index.
 
-    Records: {"doc_id":…, "sentence_index":…, "start":…, "end":…, "type":…}.
+    Records: {"doc_id": str, "sentence_index": int, "start": int, "end": int,
+    "type": one word}. A repeated record counts once; selection rejects a
+    span past its sentence's end.
     """
-    index: dict[tuple[str, int], list[EntityMention]] = {}
+    index: dict[tuple[str, int], dict[EntityMention, str]] = {}
     for lineno, line in data_lines(path):
         try:
             rec = json.loads(line)
-            key = (str(rec["doc_id"]), int(rec["sentence_index"]))
-            mention = EntityMention(int(rec["start"]), int(rec["end"]), str(rec["type"]))
+            if not isinstance(rec, dict):
+                raise ValueError("expected a JSON object")
+            key = (_field(rec, "doc_id", str), _field(rec, "sentence_index", int))
+            mention = EntityMention(
+                _field(rec, "start", int), _field(rec, "end", int), _field(rec, "type", str)
+            )
             if not 0 <= mention.start < mention.end:
                 raise ValueError(f"bad span [{mention.start}, {mention.end})")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            if mention.entity_type.split() != [mention.entity_type]:
+                raise ValueError(f"type must be one word, got {mention.entity_type!r}")
+        except (KeyError, ValueError, RecursionError) as exc:  # too deeply nested JSON
             raise DataError(f"{path}:{lineno}: bad mention record: {exc}") from exc
-        index.setdefault(key, []).append(mention)
+        index.setdefault(key, {}).setdefault(mention, f"{path}:{lineno}")
     return index

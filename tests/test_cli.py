@@ -164,6 +164,61 @@ class TestExtract:
         assert json.loads(out)["sentences"] == 1
         assert out_path.read_text().startswith("Nirvana recorded Nevermind")
 
+    @staticmethod
+    def _extract_with_mentions(capsys, tmp_path, mention_lines, workers="1"):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("Nirvana played Seattle.\n\nKurt Cobain sang.\n")
+        mentions = tmp_path / "m.jsonl"
+        mentions.write_text("".join(f"{line}\n" for line in mention_lines))
+        out_path = tmp_path / "e.txt"
+        code, out, err = run_cli(
+            capsys, "extract", "--level", "entity", "--input", str(corpus),
+            "--mentions", str(mentions), "--output", str(out_path), "--workers", workers,
+        )
+        return code, out, err, mentions
+
+    @pytest.mark.parametrize("fields", [
+        '"sentence_index": 0.9, "start": 0.7, "end": 1.5, "type": "band"',
+        '"sentence_index": 0, "start": false, "end": true, "type": "band"',
+        '"sentence_index": 0, "start": 0, "end": 1, "type": "two words"',
+    ], ids=["fractional", "bool-offsets", "two-word-type"])
+    def test_external_mention_fields_are_checked(self, capsys, tmp_path, fields):
+        good = '{"doc_id": "c-000000", "sentence_index": 0, "start": 2, "end": 3, "type": "x"}'
+        code, out, err, mentions = self._extract_with_mentions(
+            capsys, tmp_path, [good, f'{{"doc_id": "c-000000", {fields}}}']
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"xner: data error: {mentions}:2: bad mention record: ")
+        assert err.count("\n") == 1
+
+    def test_external_mention_doc_id_must_be_a_string(self, capsys, tmp_path):
+        code, _, err, mentions = self._extract_with_mentions(
+            capsys, tmp_path,
+            ['{"doc_id": 5, "sentence_index": 0, "start": 0, "end": 1, "type": "band"}'],
+        )
+        assert code == 2
+        assert f"data error: {mentions}:1: bad mention record: doc_id must be a string" in err
+
+    def test_repeated_external_mention_counts_once(self, capsys, tmp_path):
+        record = '{"doc_id": "c-000000", "sentence_index": 0, "start": 0, "end": 1, "type": "band"}'
+        code, out, _, _ = self._extract_with_mentions(capsys, tmp_path, [record, record])
+        assert code == 0
+        assert json.loads(out)["sentences"] == 0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_external_mention_past_sentence_end_is_data_error(
+        self, capsys, tmp_path, workers
+    ):
+        code, out, err, mentions = self._extract_with_mentions(capsys, tmp_path, [
+            '{"doc_id": "c-000000", "sentence_index": 0, "start": 0, "end": 1, "type": "band"}',
+            '{"doc_id": "c-000000", "sentence_index": 0, "start": 50, "end": 99, "type": "x"}',
+        ], workers)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"xner: data error: {mentions}:2: bad mention record: span [50, 99) "
+            "is past the end of a 4-token sentence\n"
+        )
+
     def test_missing_input_is_data_error(self, capsys, tmp_path, gazetteer_file):
         code, _, err = run_cli(
             capsys, "extract", "--level", "entity",
@@ -629,6 +684,44 @@ class TestOverlapAndPreAnnotate:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+class TestImportFootprint:
+    """Nothing loads OpenSSL, and only a pooled run loads the process-pool modules."""
+
+    HEAVY = ["_hashlib", "concurrent.futures.process"]
+
+    def _loaded(self, *statements):
+        script = "\n".join([
+            "import sys", *statements,
+            f"print([m for m in {self.HEAVY!r} if m in sys.modules])",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, check=True,
+        )
+        return result.stdout.splitlines()[-1]
+
+    def test_import_cli(self):
+        assert self._loaded("import xner.cli") == "[]"
+
+    def test_unpooled_mask_and_eval(self, tmp_path, music_corpus):
+        gold = DATA_DIR / "eval_gold.conll"
+        mask = ["mask", "--input", str(music_corpus), "--workers", "1",
+                "--output", str(tmp_path / "m.jsonl")]
+        evaluate = ["eval", "--gold", str(gold), "--pred", str(gold)]
+        assert self._loaded(
+            "from xner.cli import run",
+            f"assert run({mask!r}) == 0",
+            f"assert run({evaluate!r}) == 0",
+        ) == "[]"
+
+    def test_pooled_run_loads_the_pool(self, tmp_path, music_corpus):
+        mask = ["mask", "--input", str(music_corpus), "--workers", "2",
+                "--output", str(tmp_path / "m.jsonl")]
+        assert self._loaded(
+            "from xner.cli import run", f"assert run({mask!r}) == 0"
+        ) == "['concurrent.futures.process']"
 
 
 @pytest.fixture

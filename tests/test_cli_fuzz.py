@@ -40,7 +40,6 @@ RATES = _mostly(["0.15", "0.5"], ["0", "1", "-1", "nan", "inf", "x"])
 PERCENTS = _mostly(["0", "12.5", "100"], ["-1", "101", "nan", "inf", "x"])
 SEEDS = _mostly(["0", "7", "-1", "12345678901234567890"], ["x"])
 WORKERS = _mostly(["1"], ["0", "-1", "x"])
-JSON_SCALARS = st.sampled_from([0, 1, 2, -1, float("inf"), "x", None, 1.5, float("nan"), []])
 TAGS = ["O", "B-x", "B-y", "I-x", "I-y", "B-", "X", "I-"]
 
 
@@ -82,16 +81,32 @@ HIERARCHY = _lines(st.one_of(
     st.tuples(TYPES, TYPES).map("\t".join),
     st.just("no tab"),
 ))
-MENTIONS = _lines(st.one_of(
-    st.fixed_dictionaries({
-        "doc_id": st.sampled_from(["corpus-000000", "corpus-000001", "j"]),
-        "sentence_index": JSON_SCALARS,
-        "start": JSON_SCALARS,
-        "end": JSON_SCALARS,
-        "type": TYPES,
-    }).map(json.dumps),
-    st.sampled_from(['{"doc_id": "corpus-000000"}', "[]", "{"]),
-))
+
+
+def _mention(doc_ids, indices, starts, ends, types):
+    return st.fixed_dictionaries({
+        "doc_id": st.sampled_from(doc_ids),
+        "sentence_index": st.sampled_from(indices),
+        "start": st.sampled_from(starts),
+        "end": st.sampled_from(ends),
+        "type": types,
+    }).map(json.dumps)
+
+
+# Mention lines are mostly well-formed, so that selection runs on them; a
+# span may reach past the end of any sentence (LINE has at most 6 tokens).
+# The whole file may be repeated, so that every record appears more than once.
+ODD_VALUES = [True, False, -1, 0, 2, 99, float("inf"), float("nan"), 1.5, "1", None, []]
+MENTIONS = st.tuples(
+    _lines(_MOSTLY_VALID.flatmap(lambda ok: (
+        _mention(["corpus-000000", "corpus-000001"], [0, 1], [0, 1], [2, 3, 7, 50, 99], TYPES)
+        if ok else st.one_of(
+            _mention(["corpus-000000", "j", 5], ODD_VALUES, ODD_VALUES, ODD_VALUES, TYPES),
+            st.sampled_from(['{"doc_id": "corpus-000000"}', "[]", "{"]),
+        )
+    ))),
+    st.integers(1, 3),
+).map(lambda file_and_copies: file_and_copies[0] * file_and_copies[1])
 
 FILES = {
     "corpus.txt": _lines(LINE),
@@ -213,17 +228,16 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@settings(
+FUZZ_SETTINGS = settings(
     max_examples=100,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(data=st.data())
-def test_cli_exits_cleanly_on_any_input(command, data):
-    argv, files = data.draw(command_line(command))
+
+
+def _assert_exits_cleanly(argv, files):
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             with open(os.path.join(tmp, name), "wb") as fh:
@@ -236,3 +250,28 @@ def test_cli_exits_cleanly_on_any_input(command, data):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_input(command, data):
+    _assert_exits_cleanly(*data.draw(command_line(command)))
+
+
+@FUZZ_SETTINGS
+@given(
+    corpus=_lines(LINE),
+    mentions=MENTIONS,
+    level=st.sampled_from(["entity", "task", "integrated"]),
+    min_mentions=st.sampled_from(["1", "2"]),
+)
+def test_extract_with_mentions_exits_cleanly(corpus, mentions, level, min_mentions):
+    """Every other input valid, so that the mention records reach selection."""
+    argv = [
+        "extract", "--level", level, "--input", AT + "corpus.txt", "--workers", "1",
+        "--mentions", AT + "mentions.jsonl", "--specialized", AT + "words.txt",
+        "--min-mentions", min_mentions, "--output", AT + "out",
+    ]
+    files = {"corpus.txt": corpus, "mentions.jsonl": mentions, "words.txt": "band\nx\n"}
+    _assert_exits_cleanly(argv, {name: text.encode("utf-8") for name, text in files.items()})

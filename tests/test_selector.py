@@ -104,6 +104,80 @@ class TestEntityLevel:
         with pytest.raises(DataError, match=r":2: bad mention record: bad span"):
             load_external_mentions(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"doc_id": "d", "sentence_index": 0.9, "start": 0.7, "end": 1.5, "type": "x"',
+         "sentence_index must be an integer, got 0.9"),
+        ('"doc_id": "d", "sentence_index": 0, "start": true, "end": 2, "type": "x"',
+         "start must be an integer, got True"),
+        ('"doc_id": "d", "sentence_index": 0, "start": false, "end": true, "type": "x"',
+         "start must be an integer, got False"),
+        ('"doc_id": "d", "sentence_index": false, "start": 0, "end": 1, "type": "x"',
+         "sentence_index must be an integer, got False"),
+        ('"doc_id": "d", "sentence_index": 0, "start": 0, "end": "1", "type": "x"',
+         "end must be an integer, got '1'"),
+        ('"doc_id": "d", "sentence_index": 0, "start": 0, "end": 1, "type": "two words"',
+         "type must be one word, got 'two words'"),
+        ('"doc_id": "d", "sentence_index": 0, "start": 0, "end": 1, "type": " x"',
+         "type must be one word, got ' x'"),
+        ('"doc_id": "d", "sentence_index": 0, "start": 0, "end": 1, "type": ""',
+         "type must be one word, got ''"),
+        ('"doc_id": "d", "sentence_index": 0, "start": 0, "end": 1, "type": 5',
+         "type must be a string, got 5"),
+        ('"doc_id": 5, "sentence_index": 0, "start": 0, "end": 1, "type": "x"',
+         "doc_id must be a string, got 5"),
+    ], ids=[
+        "fractional", "true-start", "bool-offsets", "bool-index", "string-end",
+        "two-word-type", "padded-type", "empty-type", "int-type", "int-doc-id",
+    ])
+    def test_external_mention_fields_are_checked_not_coerced(self, tmp_path, fields, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"doc_id": "d", "sentence_index": 0, "start": 0, "end": 1, "type": "band"}\n'
+            f"{{{fields}}}\n"
+        )
+        with pytest.raises(DataError) as info:
+            load_external_mentions(path)
+        assert str(info.value) == f"{path}:2: bad mention record: {message}"
+
+    @pytest.mark.parametrize("record, message", [
+        ("[1, 2]", "expected a JSON object"),
+        ('"x"', "expected a JSON object"),
+        ("null", "expected a JSON object"),
+        ("[" * 10**5 + "]" * 10**5, "maximum recursion depth exceeded"),
+    ], ids=["array", "string", "null", "deeply-nested"])
+    def test_external_mention_record_must_be_an_object(self, tmp_path, record, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text(record + "\n")
+        with pytest.raises(DataError, match=f":1: bad mention record: {message}"):
+            load_external_mentions(path)
+
+    def test_repeated_external_mention_counts_once(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        record = '{"doc_id": "d", "sentence_index": 0, "start": 0, "end": 1, "type": "band"}\n'
+        path.write_text(record * 2)
+        mentions = load_external_mentions(path)
+        s = make_sentence("Nirvana played Seattle .")
+        assert list(select_entity_level([s], None, mentions=mentions)) == []
+        cfg = SelectorConfig(min_mentions=1)
+        assert list(select_entity_level([s], None, cfg, mentions=mentions)) == [s]
+
+    def test_external_mention_past_sentence_end_names_its_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"doc_id": "d", "sentence_index": 0, "start": 0, "end": 4, "type": "band"}\n'
+            '{"doc_id": "d", "sentence_index": 0, "start": 50, "end": 99, "type": "band"}\n'
+        )
+        mentions = load_external_mentions(path)
+        s = make_sentence("Nirvana played Seattle .")
+        with pytest.raises(DataError) as info:
+            list(select_entity_level([s], None, mentions=mentions))
+        assert str(info.value) == (
+            f"{path}:2: bad mention record: span [50, 99) is past the end of a "
+            "4-token sentence"
+        )
+        with pytest.raises(DataError, match=":2: bad mention record: span"):
+            list(select_task_level([s], None, {"band"}, mentions=mentions))
+
 
 class TestTaskLevel:
     def test_non_specialized_mentions_excluded(self):
