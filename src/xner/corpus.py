@@ -244,7 +244,7 @@ def _load_jsonl(path: Path) -> Iterator[Document]:
     for lineno, line in data_lines(path):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested JSON
             raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not (
             isinstance(record, dict)

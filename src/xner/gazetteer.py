@@ -74,9 +74,10 @@ class Gazetteer:
     """Surface-form dictionary of token sequences, stored as a token trie.
 
     entries is a mapping from surface to types, or an iterable of
-    (surface, types) rows; rows with the same surface merge their types.
-    Each trie terminal holds the entry's type resolved once, here, under
-    the hierarchy (politician beats person), so matching never resolves.
+    (surface, types) rows; rows with the same surface merge their types,
+    resolved here under the hierarchy (politician beats person). A node
+    maps a token to the next node, or to the type of an entry no other
+    entry extends; an entry that others extend keeps it under _END.
     """
 
     def __init__(
@@ -87,30 +88,46 @@ class Gazetteer:
     ):
         rows = entries.items() if isinstance(entries, Mapping) else entries
         self._trie: dict = {}
-        terminals = []
+        self._size = 0
+        intern = {}.setdefault  # one string object per distinct token
+        # A set of several types stays in the trie, one object per set, until
+        # every row is in, as resolve_type(A | B) needs A; pending finds it.
         type_sets: dict[frozenset[str], frozenset[str]] = {}
+        pending = []
         for surface, types in rows:
-            surface, types = tuple(surface), frozenset(types)
+            types = frozenset(types)
             if not surface or not all(surface):
-                raise ValueError(f"empty gazetteer surface form: {surface!r}")
+                raise ValueError(f"empty gazetteer surface form: {tuple(surface)!r}")
             if not types:
-                raise ValueError(f"gazetteer entry without types: {surface!r}")
+                raise ValueError(f"gazetteer entry without types: {tuple(surface)!r}")
             node = self._trie
-            for token in surface:
-                node = node.setdefault(token, {})
-            merged = node.get(_END)
-            if merged is None:
-                terminals.append(node)
+            for token in surface[:-1]:
+                child = node.get(token)
+                if child is None:
+                    child = node[intern(token, token)] = {}
+                elif child.__class__ is not dict:  # a leaf entry gets extended
+                    child = node[token] = {_END: child}
+                node = child
+            token = surface[-1]
+            child = node.get(token)
+            if child.__class__ is dict:
+                node, token, child = child, _END, child.get(_END)
+            if child is None:
+                self._size += 1
+                token = intern(token, token)
             else:
-                types |= merged
-            node[_END] = type_sets.setdefault(types, types)  # one object per set
-        hierarchy = hierarchy or TypeHierarchy()
-        resolved = {
-            types: resolve_type(types, hierarchy) for types in {n[_END] for n in terminals}
-        }
-        for node in terminals:
-            node[_END] = resolved[node[_END]]
-        self._size = len(terminals)
+                types |= {child} if child.__class__ is str else child
+            if len(types) > 1:
+                node[token] = type_sets.setdefault(types, types)
+                pending.append((node, token))
+            else:  # a one-type set resolves to its type
+                [node[token]] = types
+        resolved = {t: resolve_type(t, hierarchy or TypeHierarchy()) for t in type_sets}
+        for node, key in pending:
+            if node[key].__class__ is dict:  # a leaf extended since
+                node, key = node[key], _END
+            if (types := node[key]).__class__ is not str:  # not resolved yet
+                node[key] = resolved[types]
 
     def __len__(self):
         return self._size
@@ -119,13 +136,14 @@ class Gazetteer:
         """Longest entry starting at position start, as (end, type), or None."""
         node = self._trie
         best = None
-        i = start
-        n = len(texts)
+        i, n = start, len(texts)
         while i < n:
             node = node.get(texts[i])
             if node is None:
                 break
             i += 1
+            if node.__class__ is str:  # a leaf: no entry extends it
+                return i, node
             entity_type = node.get(_END)
             if entity_type is not None:
                 best = (i, entity_type)
@@ -142,7 +160,8 @@ def load_gazetteer(path, hierarchy=None) -> Gazetteer:
     return Gazetteer(_gazetteer_rows(path), hierarchy)
 
 
-def _gazetteer_rows(path) -> Iterator[tuple[list[str], tuple[str]]]:
+def _gazetteer_rows(path) -> Iterator[tuple[list[str], frozenset[str]]]:
+    types: dict[str, frozenset[str]] = {}  # one set object per type
     for lineno, line in data_lines(path):
         parts = line.split("\t")
         if len(parts) != 2 or len(parts[1].split()) != 1:
@@ -150,7 +169,8 @@ def _gazetteer_rows(path) -> Iterator[tuple[list[str], tuple[str]]]:
         surface = split_text(parts[0])
         if not surface:
             raise DataError(f"{path}:{lineno}: empty surface form")
-        yield surface, (parts[1].strip(),)
+        name = parts[1].strip()
+        yield surface, types.get(name) or types.setdefault(name, frozenset((name,)))
 
 
 def resolve_type(candidates: Iterable[str], hierarchy: TypeHierarchy) -> str:
@@ -174,17 +194,12 @@ def find_mentions(sentence: Sentence, gazetteer: Gazetteer) -> list[EntityMentio
     span ("United Socialist Party of Venezuela" suppresses "Venezuela").
     """
     texts = sentence.tokens
-    mentions = []
-    i = 0
-    n = len(texts)
-    while i < n:
-        match = gazetteer.longest_match(texts, i)
-        if match is None:
-            i += 1
-            continue
-        end, entity_type = match
-        mentions.append(EntityMention(i, end, entity_type))
-        i = end
+    starts = gazetteer._trie
+    mentions, end = [], 0
+    for i, token in enumerate(texts):
+        if i >= end and token in starts and (match := gazetteer.longest_match(texts, i)):
+            mentions.append(EntityMention(i, *match))
+            end = match[0]
     return mentions
 
 

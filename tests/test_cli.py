@@ -86,6 +86,16 @@ class TestStats:
         assert f"{path}:2001: invalid UTF-8" in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_jsonl_is_data_error_with_line(self, capsys, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        code, out, err = run_cli(capsys, "stats", "--input", str(path), "--format", "jsonl",
+                                 "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: invalid JSON" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value, message", [
         ("abc", "XNER_WORKERS must be a positive integer, got 'abc'"),
         ("0", "--workers and XNER_WORKERS must be >= 1"),

@@ -1,8 +1,12 @@
+import gc
 import itertools
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import ref_gazetteer
 from conftest import make_sentence
 from xner.errors import DataError
 from xner.gazetteer import (
@@ -309,3 +313,70 @@ class TestPreAnnotate:
             s = make_sentence(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
             tags = pre_annotate(s, Gazetteer(entries))
             assert validate_bio(tags) == []
+
+
+TOKENS = ["Ab", "Cd", "Ef", "Gh"]
+TYPES = ["a", "b", "c", "d"]
+
+
+@st.composite
+def gazetteer_rows(draw):
+    """Rows over a few tokens, so surfaces share prefixes and repeat with
+    other types; some entries are prefixes of others, in either order."""
+    surface = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4).map(tuple)
+    surfaces = draw(st.lists(surface, max_size=12))
+    prefixes = [s[:draw(st.integers(1, len(s) - 1))] for s in surfaces if len(s) > 1]
+    surfaces = draw(st.permutations(surfaces + prefixes[:draw(st.integers(0, len(prefixes)))]))
+    types = st.sets(st.sampled_from(TYPES), min_size=1, max_size=3)
+    return [(s, draw(types)) for s in surfaces]
+
+
+@st.composite
+def hierarchies(draw):
+    order = draw(st.permutations(TYPES))
+    return TypeHierarchy({
+        t: draw(st.sampled_from(order[:i])) for i, t in enumerate(order) if i and draw(st.booleans())
+    })
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    rows=gazetteer_rows(),
+    hierarchy=st.none() | hierarchies(),
+    sentences=st.lists(st.lists(st.sampled_from(TOKENS + ["Zz"]), min_size=1, max_size=10)),
+)
+def test_matches_the_reference_trie(rows, hierarchy, sentences):
+    g = Gazetteer(rows, hierarchy)
+    ref = ref_gazetteer.Gazetteer(rows, hierarchy)
+    assert len(g) == len(ref)
+    for texts in sentences:
+        for start in range(len(texts)):
+            assert g.longest_match(texts, start) == ref.longest_match(texts, start)
+        mentions = find_mentions(make_sentence(" ".join(texts)), g)
+        assert mentions == ref_gazetteer.find_mentions(texts, ref)
+
+
+def _rows_with_fresh_tokens(entries=20_000, vocabulary=8_000):
+    """Rows built one at a time, each surface from new string objects, as
+    load_gazetteer reads them from a file."""
+    rng = random.Random(0)
+    for _ in range(entries):
+        yield [f"w{rng.randrange(vocabulary)}" for _ in range(rng.randint(1, 4))], ("t",)
+
+
+def _retained_bytes(build):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        return tracemalloc.get_traced_memory()[0] - before, len(built)
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_at_most_three_quarters_of_the_reference_trie():
+    new, new_len = _retained_bytes(lambda: Gazetteer(_rows_with_fresh_tokens()))
+    ref, ref_len = _retained_bytes(lambda: ref_gazetteer.Gazetteer(_rows_with_fresh_tokens()))
+    assert new_len == ref_len
+    assert new <= 0.75 * ref, (new, ref)
