@@ -254,6 +254,11 @@ def _cmd_ner_stats(args) -> None:
 
 
 def _cmd_eval(args) -> None:
+    if args.misclassify:
+        try:
+            from_type, to_type = args.misclassify.split(",", 1)
+        except ValueError as exc:
+            raise UsageError("--misclassify expects FROM,TO") from exc
     report = score(parse_conll(args.gold), iter_conll(args.pred, strict=False))
     summary = {
         "precision": report.micro.precision,
@@ -261,10 +266,6 @@ def _cmd_eval(args) -> None:
         "f1": report.micro.f1,
     }
     if args.misclassify:
-        try:
-            from_type, to_type = args.misclassify.split(",", 1)
-        except ValueError as exc:
-            raise UsageError("--misclassify expects FROM,TO") from exc
         rate = misclassification_rate(report, from_type, to_type)
         key = (
             "correctly_classified_rate"

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from xner.errors import DataError, data_lines, open_text
 
@@ -36,20 +36,23 @@ ABBREVIATIONS = frozenset({
 _TERMINAL_RUN = re.compile("[.!?]+")
 
 
-@dataclass(frozen=True)
-class Sentence:
-    """A tokenized sentence, addressable as (doc_id, index) within a corpus."""
+class Sentence(namedtuple("Sentence", "doc_id index tokens")):
+    """A tokenized sentence, addressable as (doc_id, index) within a corpus.
 
-    doc_id: str
-    index: int
-    tokens: tuple[str, ...]
+    The constructor checks its fields; _make skips the checks, and only
+    segment uses it, on split_text's tokens.
+    """
 
-    def __post_init__(self):
-        if self.index < 0:
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)  # the base's _make checks len(), the token count
+
+    def __new__(cls, doc_id: str, index: int, tokens: tuple[str, ...]):
+        if index < 0:
             raise ValueError("sentence index must be non-negative")
-        if not self.tokens:
+        if not tokens:
             raise ValueError("sentence must contain at least one token")
-        check_tokens(self.tokens)
+        check_tokens(tokens)
+        return super().__new__(cls, doc_id, index, tokens)
 
     def __len__(self):
         return len(self.tokens)
@@ -58,16 +61,14 @@ class Sentence:
         return " ".join(self.tokens)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A raw document: its id and ordered paragraphs."""
 
     id: str
     paragraphs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     paragraph_count: int = 0
     sentence_count: int = 0
     token_count: int = 0
@@ -188,9 +189,13 @@ def _sentence_tokens(document: Document) -> list[list[str]]:
 
 
 def segment(document: Document) -> list[Sentence]:
-    """Segment a document into tokenized sentences with dense indices."""
+    """Segment a document into tokenized sentences with dense indices.
+
+    split_text yields only non-empty, whitespace-free tokens, so the
+    sentences are built unchecked."""
+    make = Sentence._make
     return [
-        Sentence(document.id, index, tuple(tokens))
+        make((document.id, index, tuple(tokens)))
         for index, tokens in enumerate(_sentence_tokens(document))
     ]
 

@@ -8,8 +8,7 @@ CoNLL-style entity-level matching, no partial credit).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from xner.errors import DataError
 from xner.masker import build_vocabulary
@@ -29,8 +28,7 @@ with you your
 """.split())
 
 
-@dataclass(frozen=True)
-class TypeScore:
+class TypeScore(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -39,16 +37,15 @@ class TypeScore:
     correct: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     micro: TypeScore
     per_type: dict  # type -> TypeScore
     confusion: dict  # (gold type, predicted type) -> count, exact-span only
 
     def as_dict(self) -> dict:
         return {
-            "micro": asdict(self.micro),
-            "per_type": {t: asdict(s) for t, s in sorted(self.per_type.items())},
+            "micro": self.micro._asdict(),
+            "per_type": {t: s._asdict() for t, s in sorted(self.per_type.items())},
             "confusion": [
                 {"gold": g, "predicted": p, "count": c}
                 for (g, p), c in sorted(self.confusion.items())
@@ -56,8 +53,7 @@ class EvalReport:
         }
 
 
-@dataclass(frozen=True)
-class OverlapMatrix:
+class OverlapMatrix(NamedTuple):
     domains: tuple[str, ...]
     values: tuple  # row-major percentages; value[a][b] = 100*|Va & Vb|/|Va|
     k: int

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections import Counter, namedtuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from xner.corpus import Sentence
 from xner.seeding import stable_hash
@@ -23,17 +22,16 @@ _STRATEGIES = ("token", "span")
 MASK_SYMBOL = "[MASK]"
 
 
-@dataclass(frozen=True)
-class MaskingConfig:
-    mask_rate: float = 0.15
-    mask_token_prob: float = 0.80
-    random_token_prob: float = 0.10
-    keep_prob: float = 0.10
-    strategy: str = "token"
-    seed: int = 0
-    min_sentence_len: int = 5
+class MaskingConfig(namedtuple(
+    "MaskingConfig",
+    "mask_rate mask_token_prob random_token_prob keep_prob strategy seed min_sentence_len",
+)):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mask_rate=0.15, mask_token_prob=0.80, random_token_prob=0.10,
+                keep_prob=0.10, strategy="token", seed=0, min_sentence_len=5):
+        self = super().__new__(cls, mask_rate, mask_token_prob, random_token_prob,
+                               keep_prob, strategy, seed, min_sentence_len)
         if not 0 < self.mask_rate < 1:
             raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
         probs = (self.mask_token_prob, self.random_token_prob, self.keep_prob)
@@ -45,26 +43,24 @@ class MaskingConfig:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         if self.min_sentence_len < 1:
             raise ValueError("min_sentence_len must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class MaskTarget:
+class MaskTarget(NamedTuple):
     position: int
     original: str
     kind: str  # mask | random | keep
 
 
-@dataclass(frozen=True)
-class MaskedExample:
-    doc_id: str
-    sentence_index: int
-    output_tokens: tuple[str, ...]
-    targets: tuple[MaskTarget, ...]
+class MaskedExample(namedtuple("MaskedExample", "doc_id sentence_index output_tokens targets")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        positions = [t.position for t in self.targets]
+    def __new__(cls, doc_id: str, sentence_index: int, output_tokens: tuple[str, ...],
+                targets: tuple[MaskTarget, ...]):
+        positions = [t.position for t in targets]
         if positions != sorted(set(positions)):
             raise ValueError("target positions must be strictly increasing")
+        return super().__new__(cls, doc_id, sentence_index, output_tokens, targets)
 
     def to_record(self) -> dict:
         return {

@@ -7,8 +7,7 @@ applied, the on-disk label inventory is authoritative.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -17,25 +16,24 @@ from xner.corpus import check_tokens
 from xner.errors import DataError, open_text
 
 
-@dataclass(frozen=True)
-class LabeledSentence:
-    tokens: tuple[str, ...]
-    tags: tuple[str, ...]
+class LabeledSentence(namedtuple("LabeledSentence", "tokens tags")):
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)  # the base's _make checks len(), the token count
 
-    def __post_init__(self):
-        if len(self.tokens) != len(self.tags):
-            raise ValueError(f"{len(self.tokens)} tokens but {len(self.tags)} tags")
-        check_tokens(self.tokens)
-        bad = validate_bio(self.tags)
+    def __new__(cls, tokens: tuple[str, ...], tags: tuple[str, ...]):
+        if len(tokens) != len(tags):
+            raise ValueError(f"{len(tokens)} tokens but {len(tags)} tags")
+        check_tokens(tokens)
+        bad = validate_bio(tags)
         if bad:
-            raise ValueError(f"invalid BIO tags at positions {bad}: {self.tags}")
+            raise ValueError(f"invalid BIO tags at positions {bad}: {tags}")
+        return super().__new__(cls, tokens, tags)
 
     def __len__(self):
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class SplitStats:
+class SplitStats(NamedTuple):
     sentence_count: int
     per_type: dict  # type -> (mention count, percentage of all mentions)
 
@@ -49,13 +47,13 @@ class SplitStats:
         }
 
 
-@dataclass(frozen=True)
-class JointConfig:
-    multiplier: int = 100
+class JointConfig(namedtuple("JointConfig", "multiplier")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.multiplier < 1:
+    def __new__(cls, multiplier: int = 100):
+        if multiplier < 1:
             raise ValueError("multiplier must be >= 1")
+        return super().__new__(cls, multiplier)
 
 
 def _well_formed(tag: str) -> bool:
@@ -132,11 +130,14 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
 
 def parse_conll(path) -> list[LabeledSentence]:
     """Every sentence of iter_conll(path, strict=True) as a LabeledSentence,
-    its tokens and tags interned so that equal strings are shared."""
-    return [
-        LabeledSentence(tuple(map(intern, s.tokens)), tuple(map(intern, s.tags)))
-        for s in iter_conll(path)
-    ]
+    its tokens and tags interned so that equal strings are shared, and
+    equal tag sequences shared as one tuple."""
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    sentences = []
+    for s in iter_conll(path):
+        tokens, tags = tuple(map(intern, s.tokens)), tuple(map(intern, s.tags))
+        sentences.append(LabeledSentence(tokens, shared.setdefault(tags, tags)))
+    return sentences
 
 
 def serialize_conll(sentences: Iterable[LabeledSentence], fh) -> None:

@@ -10,7 +10,7 @@ through the same code path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import AbstractSet, Collection, Iterable, Iterator, Mapping
 
 from xner.corpus import Sentence
@@ -22,16 +22,15 @@ from xner.seeding import unit_interval
 MentionIndex = Mapping[tuple[str, int], Mapping[EntityMention, str]]
 
 
-@dataclass(frozen=True)
-class SelectorConfig:
-    min_mentions: int = 2
-    min_specialized: int = 1
-    task_upsample: int = 2
+class SelectorConfig(namedtuple("SelectorConfig", "min_mentions min_specialized task_upsample")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("min_mentions", "min_specialized", "task_upsample"):
-            if getattr(self, name) < 1:
+    def __new__(cls, min_mentions: int = 2, min_specialized: int = 1, task_upsample: int = 2):
+        self = super().__new__(cls, min_mentions, min_specialized, task_upsample)
+        for name, value in zip(self._fields, self):
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        return self
 
 
 def _sentence_mentions(

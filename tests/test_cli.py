@@ -490,6 +490,38 @@ class TestEval:
         assert (code, out) == (1, "")
         assert "usage error" in err
 
+    def test_malformed_misclassification_flag_reads_no_file(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        missing = str(tmp_path / "missing.conll")
+        code, out, err = run_cli(
+            capsys, "eval", "--gold", missing, "--pred", missing, "--misclassify", "A",
+        )
+        assert (code, out) == (1, "")
+        assert err == "xner: usage error: --misclassify expects FROM,TO\n"
+
+        def parse_conll(path):
+            raise AssertionError(f"read {path} before the usage error")
+
+        monkeypatch.setattr("xner.cli.parse_conll", parse_conll)
+        gold = str(DATA_DIR / "eval_gold.conll")
+        code, out, err = run_cli(
+            capsys, "eval", "--gold", gold, "--pred", gold, "--misclassify", "A",
+        )
+        assert (code, out) == (1, "")
+        assert err == "xner: usage error: --misclassify expects FROM,TO\n"
+
+    def test_full_report_bytes(self, capsys, tmp_path):
+        # eval_report.json was written by the frozen-dataclass records, so a
+        # change in how a record becomes a dict cannot reorder the keys.
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "eval", "--gold", str(DATA_DIR / "eval_gold.conll"),
+            "--pred", str(DATA_DIR / "eval_pred.conll"), "--output", str(report),
+        )
+        assert code == 0
+        assert report.read_bytes() == (DATA_DIR / "eval_report.json").read_bytes()
+
     def test_i_after_o_in_four_column_pred_scored_as_conlleval(self, capsys, tmp_path):
         words = ["EU", "rejects", "German", "call", "to", "boycott", "British", "lamb"]
         gold_tags = ["B-ORG", "O", "B-MISC", "O", "O", "O", "B-MISC", "O"]
@@ -697,9 +729,10 @@ class TestOverlapAndPreAnnotate:
 
 
 class TestImportFootprint:
-    """Nothing loads OpenSSL, and only a pooled run loads the process-pool modules."""
+    """Nothing loads OpenSSL or dataclasses (with inspect, which it imports),
+    and only a pooled run loads the process-pool modules."""
 
-    HEAVY = ["_hashlib", "concurrent.futures.process"]
+    HEAVY = ["_hashlib", "dataclasses", "inspect", "concurrent.futures.process"]
 
     def _loaded(self, *statements):
         script = "\n".join([

@@ -120,6 +120,14 @@ class TestSegment:
 
     @settings(max_examples=500)
     @given(st.lists(_text, max_size=4))
+    def test_unchecked_sentences_pass_the_checked_constructor(self, paragraphs):
+        # segment skips the constructor's checks on split_text's tokens.
+        for s in segment(Document("d", tuple(paragraphs))):
+            assert type(s) is Sentence
+            assert s == Sentence(s.doc_id, s.index, s.tokens)
+
+    @settings(max_examples=500)
+    @given(st.lists(_text, max_size=4))
     @example(["Ask Dr.! Then etc.. Go? No."])
     def test_matches_reference_segmenter(self, paragraphs):
         doc = Document("d", tuple(paragraphs))

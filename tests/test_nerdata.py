@@ -228,6 +228,16 @@ class TestParseConllInterning:
         assert all(a is b for a, b in zip(g.tokens, p.tokens))
         assert g.tags[2] is p.tags[2]
 
+    def test_equal_tag_sequences_share_one_tuple(self, tmp_path):
+        gold = tmp_path / "gold.conll"
+        gold.write_text(
+            "Kurt B-person\nsang O\n\nNirvana B-band\nplayed O\n\nBjork B-person\nsang O\n"
+        )
+        first, second, third = parse_conll(gold)
+        assert first.tags == ("B-person", "O")
+        assert first.tags is third.tags
+        assert second.tags == ("B-band", "O")
+
 
 class TestLabeledSentence:
     def test_tag_count_must_match(self):
