@@ -17,8 +17,9 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 
-from xner.corpus import corpus_tokens, load_corpus
+from xner.corpus import LONE_SURROGATE, corpus_tokens, load_corpus
 from xner.errors import DataError, UsageError, WorkerError, data_lines
 from xner.evaluation import misclassification_rate, score, vocab_overlap
 from xner.gazetteer import TypeHierarchy, load_gazetteer
@@ -237,6 +238,10 @@ def _cmd_mask(args) -> None:
     if args.vocab_size < 1:
         raise UsageError("--vocab-size must be >= 1")
     workers = _workers(args)
+    # Each line holds its document's id, which starts with a plain file's stem.
+    if args.format == "plain" and LONE_SURROGATE.search(Path(args.input).stem):
+        name = os.fsencode(args.input).decode(errors="backslashreplace")
+        raise DataError(f"{name}: the file name is not valid UTF-8")
     _log("building replacement vocabulary")
     tokens = corpus_tokens(load_corpus(args.input, args.format))
     vocabulary = build_vocabulary(tokens, args.vocab_size)

@@ -34,6 +34,8 @@ ABBREVIATIONS = frozenset({
 
 # A maximal run of . ! ? may end a sentence.
 _TERMINAL_RUN = re.compile("[.!?]+")
+# A JSON \u escape or a non-UTF-8 file name can decode to these; no UTF-8 output holds them.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class Sentence(namedtuple("Sentence", "doc_id index tokens")):
@@ -104,15 +106,20 @@ def split_text(text: str) -> list[str]:
 
     Whitespace split, then leading/trailing punctuation peeled into
     separate tokens and English clitics ('s, n't) split off. A chunk with
-    no punctuation at its edges and no apostrophe is already one token.
+    no punctuation at its edges and no apostrophe is already one token, and
+    one followed by a single mark, the commonest chunk that splits, is two.
     """
     out: list[str] = []
     append = out.append
     for chunk in text.split():
-        if chunk[0] in SPLIT_PUNCT or chunk[-1] in SPLIT_PUNCT or "'" in chunk:
+        if chunk[0] in SPLIT_PUNCT or "'" in chunk:
             _split_chunk(chunk, out)
-        else:
+        elif chunk[-1] not in SPLIT_PUNCT:
             append(chunk)
+        elif chunk[-2] not in SPLIT_PUNCT:
+            out += chunk[:-1], chunk[-1]
+        else:
+            _split_chunk(chunk, out)
     return out
 
 
@@ -257,5 +264,7 @@ def _load_jsonl(path: Path) -> Iterator[Document]:
             and isinstance(record.get("text"), str)
         ):
             raise DataError(f"{path}:{lineno}: record must have string 'id' and 'text'")
+        if LONE_SURROGATE.search(record["id"]) or LONE_SURROGATE.search(record["text"]):
+            raise DataError(f"{path}:{lineno}: 'id' or 'text' has a lone surrogate")
         paragraphs = tuple(p for p in record["text"].split("\n") if p.strip())
         yield Document(record["id"], paragraphs)

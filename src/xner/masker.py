@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, namedtuple
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from xner.corpus import Sentence
@@ -54,6 +55,8 @@ class MaskTarget(NamedTuple):
 
 class MaskedExample(namedtuple("MaskedExample", "doc_id sentence_index output_tokens targets")):
     __slots__ = ()
+    # Unchecked, for apply_replacements, whose positions strictly increase.
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, doc_id: str, sentence_index: int, output_tokens: tuple[str, ...],
                 targets: tuple[MaskTarget, ...]):
@@ -62,16 +65,16 @@ class MaskedExample(namedtuple("MaskedExample", "doc_id sentence_index output_to
             raise ValueError("target positions must be strictly increasing")
         return super().__new__(cls, doc_id, sentence_index, output_tokens, targets)
 
-    def to_record(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "sentence_index": self.sentence_index,
-            "tokens": list(self.output_tokens),
-            "targets": [
-                {"pos": t.position, "orig": t.original, "kind": t.kind}
-                for t in self.targets
-            ],
-        }
+    def to_json(self) -> str:
+        """json.dumps(record, ensure_ascii=False) of the record {doc_id, sentence_index,
+        tokens, targets: [{pos, orig, kind}]}, built with no encoder or dict."""
+        tokens = ", ".join(map(encode_basestring, self.output_tokens))
+        targets = ", ".join([
+            f'{{"pos": {p}, "orig": {encode_basestring(o)}, "kind": {encode_basestring(k)}}}'
+            for p, o, k in self.targets
+        ])
+        return (f'{{"doc_id": {encode_basestring(self.doc_id)}, "sentence_index": '
+                f'{self.sentence_index}, "tokens": [{tokens}], "targets": [{targets}]}}')
 
 
 def mask_budget(length: int, mask_rate: float) -> int:
@@ -99,27 +102,26 @@ def spanify(masked: Iterable[int], length: int) -> set[int]:
     blocked the index stays put. The mask count is always preserved.
     """
     current = set(masked)
-    for i in current:
-        if not 0 <= i < length:
-            raise ValueError(f"mask index {i} out of range for length {length}")
-    isolated = [
-        i for i in sorted(current) if i - 1 not in current and i + 1 not in current
-    ]
+    if current and (min(current) < 0 or max(current) >= length):
+        bad = min(current) if min(current) < 0 else max(current)
+        raise ValueError(f"mask index {bad} out of range for length {length}")
+    isolated = [i for i in sorted(current) if i - 1 not in current and i + 1 not in current]
     for i in isolated:
         if i - 1 in current or i + 1 in current:
             continue  # a previous move attached a neighbor
-        others = current - {i}
-        if not others:
+        if len(current) == 1:
             break
-        partner = min(others, key=lambda k: (abs(k - i), k < i))
+        current.discard(i)  # i has no neighbor, so the others keep their runs
+        d = 1  # the nearest partner; distance ties go to the right
+        while i + d not in current and i - d not in current:
+            d += 1
+        partner = i + d if i + d in current else i - d
         lo, hi = partner, partner
-        while lo - 1 in others:
+        while lo - 1 in current:
             lo -= 1
-        while hi + 1 in others:
+        while hi + 1 in current:
             hi += 1
-        facing = lo - 1 if i < lo else hi + 1
-        opposite = hi + 1 if i < lo else lo - 1
-        current.discard(i)
+        facing, opposite = (lo - 1, hi + 1) if i < lo else (hi + 1, lo - 1)
         for target in (facing, opposite):
             if 0 <= target < length and target not in current:
                 current.add(target)
@@ -146,23 +148,26 @@ def apply_replacements(
     """
     if cfg.random_token_prob > 0 and not vocabulary:
         raise ValueError("non-empty vocabulary required when random_token_prob > 0")
+    positions = sorted(set(indices))
+    if positions and (positions[0] < 0 or positions[-1] >= len(tokens)):
+        bad = next(p for p in positions if not 0 <= p < len(tokens))
+        raise ValueError(f"target position {bad} out of range")
     output = list(tokens)
     targets = []
-    for position in sorted(set(indices)):
-        if not 0 <= position < len(tokens):
-            raise ValueError(f"target position {position} out of range")
-        original = tokens[position]
-        roll = rng.random()
-        if roll < cfg.mask_token_prob:
+    roll = rng.random
+    mask_below, random_below = cfg.mask_token_prob, cfg.mask_token_prob + cfg.random_token_prob
+    for position in positions:
+        p = roll()
+        if p < mask_below:
             kind = "mask"
             output[position] = MASK_SYMBOL
-        elif roll < cfg.mask_token_prob + cfg.random_token_prob:
+        elif p < random_below:
             kind = "random"
             output[position] = vocabulary[rng.randrange(len(vocabulary))]
         else:
             kind = "keep"
-        targets.append(MaskTarget(position, original, kind))
-    return MaskedExample(doc_id, sentence_index, tuple(output), tuple(targets))
+        targets.append(MaskTarget(position, tokens[position], kind))
+    return MaskedExample._make((doc_id, sentence_index, tuple(output), tuple(targets)))
 
 
 def sentence_rng(cfg: MaskingConfig, doc_id: str, sentence_index: int) -> random.Random:

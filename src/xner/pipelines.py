@@ -12,7 +12,6 @@ command holds a whole corpus or a whole output.
 
 from __future__ import annotations
 
-import json
 import signal
 import sys
 import tempfile
@@ -132,12 +131,9 @@ def _write_texts(results: Iterable[tuple], fh, *totals: int) -> tuple[int, ...]:
 def _mask_doc(
     doc: Document, cfg: MaskingConfig, vocabulary: Sequence[str]
 ) -> tuple[str, int, int]:
-    lines = []
-    targets = 0
-    for example in mask_corpus(segment(doc), cfg, vocabulary):
-        lines.append(json.dumps(example.to_record(), ensure_ascii=False) + "\n")
-        targets += len(example.targets)
-    return "".join(lines), len(lines), targets
+    examples = list(mask_corpus(segment(doc), cfg, vocabulary))
+    text = "".join([f"{example.to_json()}\n" for example in examples])
+    return text, len(examples), sum(len(example.targets) for example in examples)
 
 
 def write_masked(

@@ -1,0 +1,84 @@
+"""Reference masker stages: the plain versions of spanify, apply_replacements
+and the JSON encoding of a masked example.
+
+Used only as an oracle for the package's fast paths. spanify copies the
+set and ranks partners with a key function for every isolated index,
+apply_replacements range-checks each position and re-reads the
+configuration on every draw, and an example is encoded by json.dumps of
+its record dict. Only the records and the mask symbol are shared with
+the package.
+"""
+
+import json
+
+from xner.masker import MASK_SYMBOL, MaskedExample, MaskTarget
+
+
+def spanify(masked, length):
+    current = set(masked)
+    for i in current:
+        if not 0 <= i < length:
+            raise ValueError(f"mask index {i} out of range for length {length}")
+    isolated = [
+        i for i in sorted(current) if i - 1 not in current and i + 1 not in current
+    ]
+    for i in isolated:
+        if i - 1 in current or i + 1 in current:
+            continue
+        others = current - {i}
+        if not others:
+            break
+        partner = min(others, key=lambda k: (abs(k - i), k < i))
+        lo, hi = partner, partner
+        while lo - 1 in others:
+            lo -= 1
+        while hi + 1 in others:
+            hi += 1
+        facing = lo - 1 if i < lo else hi + 1
+        opposite = hi + 1 if i < lo else lo - 1
+        current.discard(i)
+        for target in (facing, opposite):
+            if 0 <= target < length and target not in current:
+                current.add(target)
+                break
+        else:
+            current.add(i)
+    return current
+
+
+def apply_replacements(tokens, indices, cfg, rng, vocabulary, doc_id="", sentence_index=0):
+    if cfg.random_token_prob > 0 and not vocabulary:
+        raise ValueError("non-empty vocabulary required when random_token_prob > 0")
+    output = list(tokens)
+    targets = []
+    for position in sorted(set(indices)):
+        if not 0 <= position < len(tokens):
+            raise ValueError(f"target position {position} out of range")
+        original = tokens[position]
+        roll = rng.random()
+        if roll < cfg.mask_token_prob:
+            kind = "mask"
+            output[position] = MASK_SYMBOL
+        elif roll < cfg.mask_token_prob + cfg.random_token_prob:
+            kind = "random"
+            output[position] = vocabulary[rng.randrange(len(vocabulary))]
+        else:
+            kind = "keep"
+        targets.append(MaskTarget(position, original, kind))
+    return MaskedExample(doc_id, sentence_index, tuple(output), tuple(targets))
+
+
+def to_record(example):
+    return {
+        "doc_id": example.doc_id,
+        "sentence_index": example.sentence_index,
+        "tokens": list(example.output_tokens),
+        "targets": [
+            {"pos": t.position, "orig": t.original, "kind": t.kind}
+            for t in example.targets
+        ],
+    }
+
+
+def to_json(example):
+    return json.dumps(to_record(example), ensure_ascii=False)

@@ -428,6 +428,79 @@ class TestMask:
         assert err == "xner: usage error: --vocab-size must be >= 1\n"
         assert not (tmp_path / "m.jsonl").exists()
 
+    def test_lines_are_json_dumps_of_the_record(self, capsys, tmp_path):
+        corpus = tmp_path / "quoted.txt"
+        corpus.write_text(
+            'She said "Café" twice in a row back\\slash 𝄞 clef again here .\n'
+            "Tabs\tand\x7fDEL and \x00NUL bytes stay inside the tokens .\n",
+            encoding="utf-8",
+        )
+        out_path = tmp_path / "m.jsonl"
+        code, _, _ = run_cli(
+            capsys, "mask", "--strategy", "span", "--rate", "0.5", "--input", str(corpus),
+            "--output", str(out_path), "--workers", "1",
+        )
+        assert code == 0
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            record = json.loads(line)
+            assert list(record) == ["doc_id", "sentence_index", "tokens", "targets"]
+            assert line == json.dumps(record, ensure_ascii=False)
+        assert {'"', "Café", "back\\slash", "𝄞", "and\x7fDEL", "\x00NUL"} <= set(
+            json.loads(lines[0])["tokens"] + json.loads(lines[1])["tokens"]
+            + [t["orig"] for line in lines for t in json.loads(line)["targets"]]
+        )
+
+
+class TestLoneSurrogates:
+    """A string that UTF-8 cannot encode fails as a data error naming its
+    file, before any output is written."""
+
+    @pytest.mark.parametrize("record", [
+        '{"id": "a", "text": "Nirvana \\ud800 played in big Seattle today."}',
+        '{"id": "\\udc80", "text": "Nirvana played in big Seattle today."}',
+    ])
+    @pytest.mark.parametrize("command", [
+        ["mask", "--min-len", "2"],
+        ["extract", "--level", "entity", "--min-mentions", "1"],
+        ["pre-annotate"],
+    ])
+    def test_jsonl_record_is_data_error_with_line(
+        self, capsys, tmp_path, gazetteer_file, record, command
+    ):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "ok", "text": "Nirvana played."}\n' + record + "\n")
+        if command[0] != "mask":
+            command = command + ["--gazetteer", str(gazetteer_file)]
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, *command, "--format", "jsonl", "--input", str(corpus),
+            "--output", str(out_path), "--workers", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"data error: {corpus}:2: 'id' or 'text' has a lone surrogate" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "g.tsv"]
+
+    def test_non_utf8_file_name_is_a_mask_data_error(self, capsys, tmp_path):
+        corpus = tmp_path / os.fsdecode(b"bad\xff.txt")
+        corpus.write_text("Nirvana played in big Seattle today.\n")
+        code, out, err = run_cli(
+            capsys, "mask", "--min-len", "2", "--input", str(corpus),
+            "--output", str(tmp_path / "m.jsonl"), "--workers", "1",
+        )
+        assert code == 2
+        assert out == ""
+        name = str(tmp_path / "bad\\xff.txt")
+        assert err == f"xner: data error: {name}: the file name is not valid UTF-8\n"
+        assert not (tmp_path / "m.jsonl").exists()
+        # Only mask writes the document ids, so the other commands read the file.
+        code, out, _ = run_cli(capsys, "stats", "--input", str(corpus), "--workers", "1")
+        assert code == 0
+        assert json.loads(out)["tokens"] == 7
+
 
 class TestEval:
     def test_invalid_utf8_is_data_error_with_line(self, capsys, tmp_path):

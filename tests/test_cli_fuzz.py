@@ -56,6 +56,8 @@ JSONL_RECORD = st.one_of(
         optional={"domain": st.sampled_from(["music", 5])},
     ).map(json.dumps),
     st.sampled_from(['{"id": "j"}', "[1, 2]", '{"id": "j", "text": ', "null", "x"]),
+    # Valid JSON whose text holds a lone surrogate, which UTF-8 cannot encode.
+    st.just('{"id": "a", "text": "Nirvana \\ud800 played in big Seattle today."}'),
 )
 # Sentences tagged O or B- only are valid BIO; the rest may not be, and
 # may have one to four columns.

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -6,8 +7,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ref_masker
 from conftest import make_sentence, reference_ranking
 from xner.masker import (
+    MASK_SYMBOL,
     MaskedExample,
     MaskingConfig,
     MaskTarget,
@@ -118,6 +121,26 @@ class TestMaskingConfig:
             MaskingConfig(mask_token_prob=mask, random_token_prob=rand, keep_prob=keep)
 
 
+# Non-empty, whitespace-free text with the characters a JSON encoder escapes
+# or must pass through: quotes, backslashes, control characters, DEL,
+# non-ASCII and non-BMP characters, and the mask symbol itself.
+TEXT = st.one_of(
+    st.just(MASK_SYMBOL),
+    st.text(
+        st.one_of(st.sampled_from('"\\\x00\x08\x1b\x7f\xe9\u2603\U0001f600'), st.characters()),
+        min_size=1,
+    ).filter(lambda t: t.split() == [t]),
+)
+KINDS = ("mask", "random", "keep")
+CONFIGS = st.sampled_from([
+    MaskingConfig(),
+    MaskingConfig(mask_token_prob=1.0, random_token_prob=0.0, keep_prob=0.0),
+    MaskingConfig(mask_token_prob=0.0, random_token_prob=1.0, keep_prob=0.0),
+    MaskingConfig(mask_token_prob=0.0, random_token_prob=0.0, keep_prob=1.0),
+    MaskingConfig(mask_token_prob=0.5, random_token_prob=0.25, keep_prob=0.25),
+])
+
+
 class TestSpanify:
     def test_worked_example(self):
         # "Western music 's effect would [MASK] to grow within the country
@@ -162,6 +185,20 @@ class TestSpanify:
         before = data.draw(st.sets(st.integers(0, length - 1)))
         after = spanify(before, length)
         check_spanify_postconditions(before, after, length)
+
+    @given(st.data())
+    @settings(max_examples=1000)
+    def test_matches_reference(self, data):
+        length = data.draw(st.integers(1, 64))
+        # Now and then an index just outside the sentence, which both reject.
+        before = data.draw(st.sets(st.integers(-2, length + 1), max_size=64))
+        try:
+            expected = ref_masker.spanify(before, length)
+        except ValueError:
+            with pytest.raises(ValueError):
+                spanify(before, length)
+        else:
+            assert spanify(before, length) == expected
 
 
 class TestApplyReplacements:
@@ -208,6 +245,28 @@ class TestApplyReplacements:
         cfg = MaskingConfig(mask_token_prob=1.0, random_token_prob=0.0, keep_prob=0.0)
         example = apply_replacements(self._tokens(5), {2}, cfg, random.Random(0), ["v"])
         assert example.targets == (MaskTarget(2, "w2", "mask"),)
+
+    @given(st.data())
+    @settings(max_examples=500)
+    def test_matches_reference(self, data):
+        tokens = data.draw(st.lists(TEXT, min_size=1, max_size=20))
+        indices = data.draw(st.sets(st.integers(-1, len(tokens)), max_size=len(tokens) + 2))
+        cfg = data.draw(CONFIGS)
+        vocabulary = data.draw(st.lists(TEXT, max_size=3))
+        seed = data.draw(st.integers(0, 2**32))
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        try:
+            expected = ref_masker.apply_replacements(
+                tokens, indices, cfg, ref_rng, vocabulary, "doc", 7
+            )
+        except ValueError:
+            with pytest.raises(ValueError):
+                apply_replacements(tokens, indices, cfg, rng, vocabulary, "doc", 7)
+        else:
+            example = apply_replacements(tokens, indices, cfg, rng, vocabulary, "doc", 7)
+            assert example == expected
+            assert type(example) is MaskedExample
+            assert rng.getstate() == ref_rng.getstate()
 
     def test_proportions_match_configuration(self):
         cfg = MaskingConfig()
@@ -261,16 +320,16 @@ class TestMaskCorpus:
     def test_deterministic_given_seed(self):
         cfg = MaskingConfig(seed=42, strategy="span")
         corpus = self._corpus(30)
-        a = [e.to_record() for e in mask_corpus(corpus, cfg, ["x", "y"])]
-        b = [e.to_record() for e in mask_corpus(corpus, cfg, ["x", "y"])]
+        a = [e.to_json() for e in mask_corpus(corpus, cfg, ["x", "y"])]
+        b = [e.to_json() for e in mask_corpus(corpus, cfg, ["x", "y"])]
         assert a == b
 
     def test_independent_of_stream_sharding(self):
         cfg = MaskingConfig(seed=7)
         corpus = self._corpus(40)
-        whole = [e.to_record() for e in mask_corpus(corpus, cfg, ["v"])]
-        parts = [e.to_record() for e in mask_corpus(corpus[:13], cfg, ["v"])]
-        parts += [e.to_record() for e in mask_corpus(corpus[13:], cfg, ["v"])]
+        whole = [e.to_json() for e in mask_corpus(corpus, cfg, ["v"])]
+        parts = [e.to_json() for e in mask_corpus(corpus[:13], cfg, ["v"])]
+        parts += [e.to_json() for e in mask_corpus(corpus[13:], cfg, ["v"])]
         assert whole == parts
 
     def test_worked_example_span_migration(self):
@@ -311,13 +370,31 @@ class TestMaskedExample:
             "d", 3, ("[MASK]", "b"),
             (MaskTarget(0, "a", "mask"),),
         )
-        record = example.to_record()
-        assert record == {
+        record = {
             "doc_id": "d",
             "sentence_index": 3,
             "tokens": ["[MASK]", "b"],
             "targets": [{"pos": 0, "orig": "a", "kind": "mask"}],
         }
+        assert json.loads(example.to_json()) == record
+        assert example.to_json() == (
+            '{"doc_id": "d", "sentence_index": 3, "tokens": ["[MASK]", "b"], '
+            '"targets": [{"pos": 0, "orig": "a", "kind": "mask"}]}'
+        )
+
+    @given(st.data())
+    @settings(max_examples=500)
+    def test_json_line_matches_json_dumps(self, data):
+        tokens = data.draw(st.lists(TEXT, min_size=1, max_size=12))
+        positions = data.draw(st.sets(st.integers(0, len(tokens) - 1)))
+        targets = tuple(
+            MaskTarget(p, data.draw(TEXT), data.draw(st.sampled_from(KINDS)))
+            for p in sorted(positions)
+        )
+        example = MaskedExample(
+            data.draw(TEXT), data.draw(st.integers(0, 10**12)), tuple(tokens), targets
+        )
+        assert example.to_json() == ref_masker.to_json(example)
 
 
 class TestBuildVocabulary:
