@@ -24,15 +24,7 @@ from xner.errors import DataError, UsageError, WorkerError, data_lines
 from xner.evaluation import misclassification_rate, score, vocab_overlap
 from xner.gazetteer import TypeHierarchy, load_gazetteer
 from xner.masker import MaskingConfig, build_vocabulary
-from xner.nerdata import (
-    JointConfig,
-    build_joint,
-    dataset_stats,
-    iter_conll,
-    parse_conll,
-    serialize_conll,
-    subsample,
-)
+from xner.nerdata import dataset_stats, iter_conll, parse_conll, subsample
 from xner.pipelines import (
     LEVELS,
     select_documents,
@@ -242,6 +234,11 @@ def _cmd_mask(args) -> None:
     if args.format == "plain" and LONE_SURROGATE.search(Path(args.input).stem):
         name = os.fsencode(args.input).decode(errors="backslashreplace")
         raise DataError(f"{name}: the file name is not valid UTF-8")
+    # The vocabulary pass and the masking pass each read the input, and a
+    # pipe reads empty the second time. One tokenizer pass per run (see
+    # ROADMAP) would make this check unnecessary.
+    if not stat.S_ISREG(os.stat(args.input).st_mode):
+        raise DataError(f"{args.input}: mask reads its input twice; give a regular file")
     _log("building replacement vocabulary")
     tokens = corpus_tokens(load_corpus(args.input, args.format))
     vocabulary = build_vocabulary(tokens, args.vocab_size)
@@ -254,8 +251,7 @@ def _cmd_mask(args) -> None:
 
 
 def _cmd_ner_stats(args) -> None:
-    stats = dataset_stats(parse_conll(args.input))
-    _emit(stats.as_dict())
+    _emit(dataset_stats(iter_conll(args.input)).as_dict())
 
 
 def _cmd_eval(args) -> None:
@@ -316,30 +312,35 @@ def _cmd_pre_annotate(args) -> None:
 
 
 def _cmd_subsample(args) -> None:
-    train = parse_conll(args.input)
+    """Each kept sentence is written as the lines it was read from, then
+    one blank line."""
+    train = [s.lines for s in iter_conll(args.input)]
     if not 0 <= args.n <= len(train):
         raise UsageError(f"--n must be in [0, {len(train)}]")
-    sample = subsample(train, args.n, args.seed)
     with _output(args.output) as fh:
-        serialize_conll(sample, fh)
-    _emit({"sampled": len(sample), "from": len(train), "seed": args.seed})
+        for lines in subsample(train, args.n, args.seed):
+            fh.write(lines + "\n")
+    _emit({"sampled": args.n, "from": len(train), "seed": args.seed})
 
 
 def _cmd_joint(args) -> None:
-    try:
-        cfg = JointConfig(args.multiplier)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    source = parse_conll(args.source)
-    target = parse_conll(args.target)
-    joint = build_joint(source, target, cfg)
+    """The source's sentences as they stream in, then the target's
+    --multiplier times, each as its lines then one blank line. The target
+    is read, and so checked, before any output is written."""
+    if args.multiplier < 1:
+        raise UsageError("--multiplier must be >= 1")
+    target = [s.lines + "\n" for s in iter_conll(args.target)]
+    source = 0
     with _output(args.output) as fh:
-        serialize_conll(joint, fh)
+        for source, s in enumerate(iter_conll(args.source), 1):
+            fh.write(s.lines + "\n")
+        for _ in range(args.multiplier):
+            fh.writelines(target)
     _emit({
-        "source": len(source),
+        "source": source,
         "target": len(target),
-        "multiplier": cfg.multiplier,
-        "total": len(joint),
+        "multiplier": args.multiplier,
+        "total": source + len(target) * args.multiplier,
     })
 
 

@@ -47,15 +47,6 @@ class SplitStats(NamedTuple):
         }
 
 
-class JointConfig(namedtuple("JointConfig", "multiplier")):
-    __slots__ = ()
-
-    def __new__(cls, multiplier: int = 100):
-        if multiplier < 1:
-            raise ValueError("multiplier must be >= 1")
-        return super().__new__(cls, multiplier)
-
-
 def _well_formed(tag: str) -> bool:
     """Whether tag is "O", "B-<type>" or "I-<type>" with a non-empty type."""
     return tag == "O" or (len(tag) > 2 and tag[0] in "BI" and tag[1] == "-")
@@ -86,6 +77,7 @@ class ConllSentence(NamedTuple):
     where: str  # "path:line" of the sentence's first token
     tokens: tuple[str, ...]
     tags: tuple[str, ...]
+    lines: str  # the sentence's lines as read, each ending in "\n"
 
 
 def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
@@ -97,10 +89,17 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
     strict=False accepts any sequence of well-formed tags, which
     entity_spans chunks as conlleval does. A line with one field or a bad
     tag raises DataError("path:line: ...").
+
+    Each sentence's lines field is its token lines exactly as read, every
+    column, separator and trailing space kept and each line ending in
+    "\n" (one is added after a last line that has none), so writing it
+    back gives the sentence's own bytes; the blank and -DOCSTART- lines
+    around it are not part of it.
     """
     well_formed = {"O"}
     tokens: list[str] = []
     tags: list[str] = []
+    lines: list[str] = []
     with open_text(path) as fh:
         # The trailing "" ends the last sentence as a blank line would.
         for lineno, line in enumerate(chain(fh, ("",)), 1):
@@ -110,6 +109,7 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
                     start = lineno
                 tokens.append(parts[0])
                 tags.append(parts[-1])
+                lines.append(line)
             elif parts and parts[0] != "-DOCSTART-":
                 raise DataError(f"{path}:{lineno}: expected 'token ... tag', got {parts[0]!r}")
             elif tokens:
@@ -123,9 +123,13 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
                 if bad:
                     kind = "invalid BIO" if strict else "malformed"
                     raise DataError(f"{path}:{start + bad[0]}: {kind} tag {tags[bad[0]]!r}")
-                yield ConllSentence(f"{path}:{start}", tuple(tokens), tuple(tags))
+                text = "".join(lines)
+                if text[-1] != "\n":
+                    text += "\n"
+                yield ConllSentence(f"{path}:{start}", tuple(tokens), tuple(tags), text)
                 tokens.clear()
                 tags.clear()
+                lines.clear()
 
 
 def parse_conll(path) -> list[LabeledSentence]:
@@ -138,14 +142,6 @@ def parse_conll(path) -> list[LabeledSentence]:
         tokens, tags = tuple(map(intern, s.tokens)), tuple(map(intern, s.tags))
         sentences.append(LabeledSentence(tokens, shared.setdefault(tags, tags)))
     return sentences
-
-
-def serialize_conll(sentences: Iterable[LabeledSentence], fh) -> None:
-    """Write space-separated CoNLL, one blank line between sentences."""
-    for sentence in sentences:
-        for token, tag in zip(sentence.tokens, sentence.tags):
-            fh.write(f"{token} {tag}\n")
-        fh.write("\n")
 
 
 def entity_spans(tags: Sequence[str]) -> dict[tuple[int, int], str]:
@@ -169,35 +165,26 @@ def entity_spans(tags: Sequence[str]) -> dict[tuple[int, int], str]:
     return spans
 
 
-def dataset_stats(split: Sequence[LabeledSentence]) -> SplitStats:
-    """Sentence count plus per-type mention counts and percentages."""
-    counts = Counter(t for s in split for t in entity_spans(s.tags).values())
+def dataset_stats(split: Iterable) -> SplitStats:
+    """Sentence count plus per-type mention counts and percentages, in one
+    pass over the sentences' .tags, so split may be a one-shot iterator
+    such as iter_conll(path)."""
+    counts = Counter()
+    sentences = 0
+    for sentences, s in enumerate(split, 1):
+        counts.update(entity_spans(s.tags).values())
     total = sum(counts.values())
     per_type = {
         t: (c, 100.0 * c / total if total else 0.0) for t, c in counts.items()
     }
-    return SplitStats(len(split), per_type)
+    return SplitStats(sentences, per_type)
 
 
-def subsample(
-    train: Sequence[LabeledSentence], n: int, seed: int
-) -> list[LabeledSentence]:
-    """Uniform sample of n sentences without replacement, order preserved."""
+def subsample(train: Sequence, n: int, seed: int) -> list:
+    """Uniform sample of n items without replacement, order preserved: the
+    sentences of a split, or their lines."""
     if not 0 <= n <= len(train):
         raise ValueError(f"sample size {n} out of range for {len(train)} sentences")
     rng = random.Random(seed)
     keep = sorted(rng.sample(range(len(train)), n))
     return [train[i] for i in keep]
-
-
-def build_joint(
-    source: Sequence[LabeledSentence],
-    target: Sequence[LabeledSentence],
-    cfg: JointConfig = JointConfig(),
-) -> list[LabeledSentence]:
-    """Source data plus the target data repeated cfg.multiplier times.
-
-    Upsampling balances a small target-domain training set against a much
-    larger source-domain one for joint training.
-    """
-    return list(source) + list(target) * cfg.multiplier

@@ -1,8 +1,14 @@
-"""Reference mention extraction: one EntityMention per B-/I- run.
+"""Reference list-model dataset functions, used only as test oracles.
 
-Used only as an oracle for nerdata.entity_spans on valid BIO, which the
-scorer and the dataset statistics read instead; on ill-formed tags the
-oracle is ref_conlleval. It reads only sentence.tags.
+extract_entities gives one EntityMention per B-/I- run: the oracle for
+nerdata.entity_spans on valid BIO, which the scorer and the dataset
+statistics read instead; on ill-formed tags the oracle is ref_conlleval.
+It reads only sentence.tags.
+
+serialize_conll and build_joint are the writer and the joint builder that
+`subsample` and `joint` used before they wrote back the lines they read;
+on two-column, single-space input the commands must still give their
+bytes.
 """
 
 from xner.gazetteer import EntityMention
@@ -27,3 +33,16 @@ def extract_entities(sentence):
     if start is not None:
         mentions.append(EntityMention(start, len(sentence.tags), current))
     return mentions
+
+
+def serialize_conll(sentences, fh):
+    """Write space-separated CoNLL, one blank line between sentences."""
+    for sentence in sentences:
+        for token, tag in zip(sentence.tokens, sentence.tags):
+            fh.write(f"{token} {tag}\n")
+        fh.write("\n")
+
+
+def build_joint(source, target, multiplier=100):
+    """Source data plus the target data repeated multiplier times."""
+    return list(source) + list(target) * multiplier

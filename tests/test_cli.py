@@ -1,18 +1,25 @@
+import io
 import json
 import multiprocessing
 import os
+import random
 import shlex
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ref_conlleval import evaluate as ref_evaluate
+from ref_nerdata import build_joint, serialize_conll
 from xner import pipelines
 from xner.cli import run
+from xner.nerdata import dataset_stats, parse_conll, subsample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -428,6 +435,39 @@ class TestMask:
         assert err == "xner: usage error: --vocab-size must be >= 1\n"
         assert not (tmp_path / "m.jsonl").exists()
 
+    def test_piped_input_is_data_error(self, tmp_path):
+        # Named like /dev/stdin, so that both give the same document ids.
+        corpus = tmp_path / "stdin"
+        corpus.write_text(
+            "Nirvana recorded Nevermind in Seattle. Kurt Cobain sang.\n\n"
+            "Radiohead released Kid A. Critics praised it.\n"
+        )
+
+        def mask(name, **stdin):
+            argv = [sys.executable, "-m", "xner.cli", "mask", "--min-len", "2",
+                    "--input", name, "--workers", "1", "--output", str(tmp_path / "m.jsonl")]
+            return subprocess.run(
+                argv, env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                text=True, timeout=120, **stdin,
+            )
+
+        # A pipe would read empty on the second of mask's two passes.
+        piped = mask("/dev/stdin", input=corpus.read_text())
+        assert (piped.returncode, piped.stdout) == (2, "")
+        assert piped.stderr == (
+            "xner: data error: /dev/stdin: mask reads its input twice; give a regular file\n"
+        )
+        assert not (tmp_path / "m.jsonl").exists()
+        by_path = mask(str(corpus))
+        assert by_path.returncode == 0
+        assert json.loads(by_path.stdout)["sentences"] == 4
+        expected = (tmp_path / "m.jsonl").read_bytes()
+        # A file redirected onto stdin is still a regular file.
+        with open(corpus) as fh:
+            redirected = mask("/dev/stdin", stdin=fh)
+        assert (redirected.returncode, redirected.stdout) == (0, by_path.stdout)
+        assert (tmp_path / "m.jsonl").read_bytes() == expected
+
     def test_lines_are_json_dumps_of_the_record(self, capsys, tmp_path):
         corpus = tmp_path / "quoted.txt"
         corpus.write_text(
@@ -691,6 +731,253 @@ class TestNerStatsSubsampleJoint:
         assert code == 0
         summary = json.loads(out)
         assert summary["total"] == 12 + 100 * 2
+
+    @pytest.mark.parametrize("multiplier", ["0", "-1"])
+    def test_joint_multiplier_below_one_is_usage_error(self, capsys, tmp_path, multiplier):
+        source = self._conll(tmp_path, "src.conll", 2)
+        code, out, err = run_cli(
+            capsys, "joint", "--source", str(source), "--target", str(source),
+            "--multiplier", multiplier, "--output", str(tmp_path / "joint.conll"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "xner: usage error: --multiplier must be >= 1\n"
+        assert not (tmp_path / "joint.conll").exists()
+
+    def test_subsample_keeps_every_column(self, capsys, tmp_path):
+        path = tmp_path / "conll03.conll"
+        path.write_text("EU NNP B-NP B-ORG\nrejects VBZ B-VP O\n")
+        out_path = tmp_path / "few.conll"
+        code, out, _ = run_cli(
+            capsys, "subsample", "--input", str(path), "--n", "1", "--output", str(out_path),
+        )
+        assert (code, json.loads(out)) == (0, {"sampled": 1, "from": 1, "seed": 0})
+        assert out_path.read_text() == "EU NNP B-NP B-ORG\nrejects VBZ B-VP O\n\n"
+
+    def test_joint_writes_source_then_target_lines(self, capsys, tmp_path):
+        source = tmp_path / "src.conll"
+        source.write_text("-DOCSTART- -X- O O\n\nEU\tB-ORG\n\n\nlamb O \n")
+        target = tmp_path / "tgt.conll"
+        target.write_text("Kid B-album\nA I-album")
+        out_path = tmp_path / "joint.conll"
+        code, out, _ = run_cli(
+            capsys, "joint", "--source", str(source), "--target", str(target),
+            "--multiplier", "2", "--output", str(out_path),
+        )
+        assert code == 0
+        assert json.loads(out) == {"source": 2, "target": 1, "multiplier": 2, "total": 4}
+        assert out_path.read_text() == (
+            "EU\tB-ORG\n\nlamb O \n\n" + "Kid B-album\nA I-album\n\n" * 2
+        )
+
+    @pytest.mark.parametrize("bad", ["source", "target"])
+    def test_bad_input_keeps_previous_output(self, capsys, tmp_path, bad):
+        # The source is written as it is read, so its bad line comes after
+        # the sentences before it have gone to the temporary file.
+        files = {name: self._conll(tmp_path, f"{name}.conll", 3) for name in ("source", "target")}
+        files[bad].write_text("a O\n\nb O\nc I-x\n")
+        out_path = tmp_path / "joint.conll"
+        out_path.write_text("previous\n")
+        code, out, err = run_cli(
+            capsys, "joint", "--source", str(files["source"]), "--target", str(files["target"]),
+            "--output", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"xner: data error: {files[bad]}:4: invalid BIO tag 'I-x'\n"
+        assert out_path.read_text() == "previous\n"
+        assert sorted(os.listdir(tmp_path)) == ["joint.conll", "source.conll", "target.conll"]
+
+    def test_commands_do_not_read_the_list_model(self, capsys, monkeypatch, tmp_path):
+        gold = DATA_DIR / "eval_gold.conll"
+        sentences = parse_conll(gold)
+
+        def no_parse_conll(path):
+            raise AssertionError(f"parse_conll read {path}")
+
+        monkeypatch.setattr("xner.cli.parse_conll", no_parse_conll)
+        code, out, _ = run_cli(capsys, "ner-stats", "--input", str(gold))
+        assert (code, json.loads(out)) == (0, dataset_stats(sentences).as_dict())
+
+        expected = io.StringIO()
+        serialize_conll(subsample(sentences, 5, 3), expected)
+        out_path = tmp_path / "few.conll"
+        code, _, _ = run_cli(
+            capsys, "subsample", "--input", str(gold), "--n", "5", "--seed", "3",
+            "--output", str(out_path),
+        )
+        assert (code, out_path.read_text()) == (0, expected.getvalue())
+
+        code, _, _ = run_cli(
+            capsys, "joint", "--source", str(gold), "--target", str(gold),
+            "--multiplier", "2", "--output", str(out_path),
+        )
+        expected = io.StringIO()
+        serialize_conll(build_joint(sentences, sentences, 2), expected)
+        assert (code, out_path.read_text()) == (0, expected.getvalue())
+
+
+def _bio(draft):
+    """Valid BIO from tags where "I" continues the previous chunk, if any."""
+    tags, current = [], None
+    for tag in draft:
+        if tag == "I":
+            tag = f"I-{current}" if current else "O"
+        current = None if tag == "O" else tag[2:]
+        tags.append(tag)
+    return tags
+
+
+@st.composite
+def conll_file(draw, columns, separators, trailing):
+    """(file text, each sentence's lines, whether every line has a tag).
+
+    Token lines have columns fields, the tag last, each field after the
+    first preceded by a separator and the line's end by trailing; a
+    one-field line has no tag. Runs of blank and -DOCSTART- lines sit
+    between sentences, and the file's last newline may be missing."""
+    token = st.sampled_from(["EU", "rejects", "Kid", "é", "B-x", "O", "-X-", "'s"])
+    middle = st.sampled_from(["NNP", "VBZ", "B-NP", "I-VP", "-X-"])
+    gap = st.lists(
+        st.sampled_from(["\n", " \n", "\t\n", "-DOCSTART- -X- -X- O\n", "-DOCSTART-\n"]),
+        min_size=1, max_size=3,
+    ).map("".join)
+    drafts = st.lists(st.sampled_from(["O", "B-x", "B-y", "I"]), min_size=1, max_size=4)
+    sentences, tagged = [], True
+    for draft in draw(st.lists(drafts, max_size=5)):
+        lines = []
+        for tag in _bio(draft):
+            n = draw(columns)
+            fields = [draw(token)] if n == 1 else [
+                draw(token), *(draw(middle) for _ in range(n - 2)), tag,
+            ]
+            tagged &= n > 1
+            line = fields[0] + "".join(draw(separators) + field for field in fields[1:])
+            lines.append(line + draw(trailing) + "\n")
+        sentences.append("".join(lines))
+    text = draw(st.sampled_from(["", "\n", "-DOCSTART- -X- -X- O\n\n"]))
+    text += "".join(sentence + draw(gap) for sentence in sentences[:-1])
+    if sentences:
+        text += sentences[-1] + draw(st.sampled_from(["", "", "\n", "\n-DOCSTART-\n"]))
+        if text.endswith("\n") and draw(st.booleans()):
+            text = text[:-1]
+    return text, sentences, tagged
+
+
+def _run_quiet(argv):
+    """cli.run in-process, for hypothesis, which cannot use capsys: (exit code, stdout)."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def _written_sentences(text):
+    """The sentences of a file that subsample or joint wrote: each is its
+    lines then one blank line, so a blank line ends every sentence."""
+    *sentences, tail = text.split("\n\n")
+    assert tail == ""
+    return [sentence + "\n" for sentence in sentences]
+
+
+PROPERTY_SETTINGS = settings(
+    deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestLosslessWriters:
+    """subsample and joint write back the lines they read, and on the
+    two-column, single-space files that the list model wrote they give
+    its bytes."""
+
+    ANY_COLUMNS = conll_file(
+        st.sampled_from([2, 3, 4] * 8 + [1]),  # a one-field line is a data error
+        st.sampled_from([" ", "\t"]),
+        st.sampled_from(["", "", " ", "\t"]),
+    )
+    TWO_COLUMNS = conll_file(st.just(2), st.just(" "), st.just(""))
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_written_sentences_are_input_sentences(self, data):
+        source_text, source, source_tagged = data.draw(self.ANY_COLUMNS)
+        target_text, target, target_tagged = data.draw(self.ANY_COLUMNS)
+        n = data.draw(st.integers(0, len(source)))
+        seed = data.draw(st.integers(0, 2**32))
+        multiplier = data.draw(st.integers(1, 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            src, tgt, out = (os.path.join(tmp, name) for name in ("src", "tgt", "out"))
+            Path(src).write_bytes(source_text.encode())
+            Path(tgt).write_bytes(target_text.encode())
+
+            code, _ = _run_quiet([
+                "subsample", "--input", src, "--n", str(n), "--seed", str(seed),
+                "--output", out,
+            ])
+            if not source_tagged:
+                assert (code, os.path.exists(out)) == (2, False)
+            else:
+                assert code == 0
+                # Each written sentence is, byte for byte, one the generator made.
+                written = _written_sentences(Path(out).read_bytes().decode())
+                keep = sorted(random.Random(seed).sample(range(len(source)), n))
+                assert written == [source[i] for i in keep]
+                os.unlink(out)
+
+            code, _ = _run_quiet([
+                "joint", "--source", src, "--target", tgt,
+                "--multiplier", str(multiplier), "--output", out,
+            ])
+            if not (source_tagged and target_tagged):
+                assert (code, os.path.exists(out)) == (2, False)
+            else:
+                assert code == 0
+                written = _written_sentences(Path(out).read_bytes().decode())
+                assert written == source + target * multiplier
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_two_column_output_equals_the_list_model(self, data):
+        source_text, _, _ = data.draw(self.TWO_COLUMNS)
+        target_text, _, _ = data.draw(self.TWO_COLUMNS)
+        seed = data.draw(st.integers(0, 2**32))
+        multiplier = data.draw(st.integers(1, 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            src, tgt, out = (os.path.join(tmp, name) for name in ("src", "tgt", "out"))
+            Path(src).write_bytes(source_text.encode())
+            Path(tgt).write_bytes(target_text.encode())
+            source, target = parse_conll(src), parse_conll(tgt)
+            n = data.draw(st.integers(0, len(source)))
+
+            def oracle(summary, sentences):
+                expected = io.StringIO()
+                serialize_conll(sentences, expected)
+                return json.dumps(summary) + "\n", expected.getvalue().encode()
+
+            assert _run_quiet(["ner-stats", "--input", src]) == (
+                0, json.dumps(dataset_stats(source).as_dict(), ensure_ascii=False) + "\n",
+            )
+
+            code, summary = _run_quiet([
+                "subsample", "--input", src, "--n", str(n), "--seed", str(seed),
+                "--output", out,
+            ])
+            assert code == 0
+            assert (summary, Path(out).read_bytes()) == oracle(
+                {"sampled": n, "from": len(source), "seed": seed},
+                subsample(source, n, seed),
+            )
+
+            code, summary = _run_quiet([
+                "joint", "--source", src, "--target", tgt,
+                "--multiplier", str(multiplier), "--output", out,
+            ])
+            joint = build_joint(source, target, multiplier)
+            assert code == 0
+            assert (summary, Path(out).read_bytes()) == oracle(
+                {"source": len(source), "target": len(target),
+                 "multiplier": multiplier, "total": len(joint)},
+                joint,
+            )
 
 
 class TestOverlapAndPreAnnotate:

@@ -66,6 +66,17 @@ VALID_CONLL = st.lists(
     .map(lambda rows: "".join(f"{row}\n" for row in rows) + "\n"),
     max_size=4,
 ).map("".join)
+# CoNLL-2003's four tab-separated columns, valid BIO, after a -DOCSTART- line.
+VALID_CONLL_FOUR_TABBED = st.lists(
+    st.lists(
+        st.tuples(
+            TOKEN, st.sampled_from(["NNP", "VBZ"]), st.sampled_from(["B-NP", "I-VP"]),
+            st.sampled_from(TAGS[:3]),
+        ).map("\t".join),
+        min_size=1, max_size=5,
+    ).map(lambda rows: "".join(f"{row}\n" for row in rows) + "\n"),
+    max_size=4,
+).map(lambda sentences: "-DOCSTART-\t-X-\t-X-\tO\n\n" + "".join(sentences))
 ANY_CONLL = _lines(st.one_of(
     st.tuples(
         TOKEN,
@@ -74,7 +85,7 @@ ANY_CONLL = _lines(st.one_of(
     ).map(lambda t: " ".join([t[0], *t[1], t[2]])),
     st.sampled_from(["-DOCSTART- -X- O O", "Nirvana", "a b c d e"]),
 ))
-CONLL = st.one_of(VALID_CONLL, ANY_CONLL)
+CONLL = st.one_of(VALID_CONLL, VALID_CONLL_FOUR_TABBED, ANY_CONLL)
 GAZETTEER = _lines(st.one_of(
     st.tuples(LINE, TYPES).map("\t".join),
     st.sampled_from(["no tab", "a\tb\tc"]),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_labeled, random_bio_tags, reference_ranking
 from ref_conlleval import evaluate as ref_evaluate
-from ref_nerdata import extract_entities
+from ref_nerdata import extract_entities, serialize_conll
 from xner.errors import DataError
 from xner.evaluation import (
     DEFAULT_STOPWORDS,
@@ -16,7 +16,7 @@ from xner.evaluation import (
     top_vocabulary,
     vocab_overlap,
 )
-from xner.nerdata import iter_conll, serialize_conll
+from xner.nerdata import iter_conll
 
 
 def oracle_score(gold, pred):

@@ -7,18 +7,16 @@ from hypothesis import given, strategies as st
 
 from conftest import make_labeled, random_bio_tags
 from ref_conlleval import is_chunk_end, is_chunk_start, split_tag
-from ref_nerdata import extract_entities
-from xner.errors import DataError
+from ref_nerdata import build_joint, extract_entities, serialize_conll
+from xner.cli import _cmd_joint
+from xner.errors import DataError, UsageError
 from xner.gazetteer import mentions_to_bio
 from xner.nerdata import (
-    JointConfig,
     LabeledSentence,
-    build_joint,
     dataset_stats,
     entity_spans,
     iter_conll,
     parse_conll,
-    serialize_conll,
     subsample,
     validate_bio,
 )
@@ -143,6 +141,29 @@ class TestIterConllLenient:
         path.write_text(f"a O\n\nb B-x\nc {tag}\n\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: malformed tag"):
             list(iter_conll(path, strict=False))
+
+
+class TestIterConllLines:
+    def test_lines_are_the_token_lines_as_read(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_text(
+            "-DOCSTART- -X- -X- O\n\n"
+            "EU\tNNP\tB-NP\tB-ORG\nrejects  VBZ B-VP O \n"
+            " \t\n\n"
+            "German JJ B-NP B-MISC\n-DOCSTART-\nlamb O"
+        )
+        first, second, third = iter_conll(path)
+        assert first.lines == "EU\tNNP\tB-NP\tB-ORG\nrejects  VBZ B-VP O \n"
+        assert (first.tokens, first.tags) == (("EU", "rejects"), ("B-ORG", "O"))
+        assert second.lines == "German JJ B-NP B-MISC\n"
+        # The file's last line has no newline; its sentence's lines end in one.
+        assert (third.where, third.lines) == (f"{path}:9", "lamb O\n")
+
+    def test_lenient_read_keeps_lines(self, tmp_path):
+        path = tmp_path / "f.conll"
+        path.write_text("a\tI-x\nb O\n")
+        [s] = iter_conll(path, strict=False)
+        assert s.lines == "a\tI-x\nb O\n"
 
 
 class TestExtractEntities:
@@ -291,6 +312,12 @@ class TestDatasetStats:
         if stats.per_type:
             assert abs(sum(p for _, p in stats.per_type.values()) - 100) < 0.1
 
+    def test_one_shot_iterator(self):
+        sentences = [make_labeled("a b", ["B-x", "O"]), make_labeled("c", ["B-y"])]
+        stats = dataset_stats(iter(sentences))
+        assert stats == dataset_stats(sentences)
+        assert stats.sentence_count == 2
+
     def test_invariant_under_permutation(self):
         sentences = [
             make_labeled("a", ["B-x"]),
@@ -331,24 +358,30 @@ class TestBuildJoint:
     def test_plain_concatenation(self):
         source = [make_labeled("a", ["O"])]
         target = [make_labeled("b", ["O"])]
-        assert build_joint(source, target, JointConfig(1)) == source + target
+        assert build_joint(source, target, 1) == source + target
 
     def test_upsample_arithmetic(self):
         source = [make_labeled(f"s{i}", ["O"]) for i in range(149)]
         target = [make_labeled(f"t{i}", ["O"]) for i in range(3)]
-        joint = build_joint(source, target, JointConfig(100))
+        joint = build_joint(source, target, 100)
         assert len(joint) == 149 + 100 * 3
 
     def test_empty_target(self):
         source = [make_labeled("a", ["O"])]
-        assert build_joint(source, [], JointConfig()) == source
+        assert build_joint(source, []) == source
 
     def test_every_sentence_from_source_or_target(self):
         source = [make_labeled("a", ["O"])]
         target = [make_labeled("b", ["O"])]
-        joint = build_joint(source, target, JointConfig(3))
+        joint = build_joint(source, target, 3)
         assert all(s in source or s in target for s in joint)
 
-    def test_multiplier_validation(self):
-        with pytest.raises(ValueError):
-            JointConfig(0)
+    def test_multiplier_validation(self, tmp_path):
+        # The joint command checks --multiplier before it opens any file.
+        args = SimpleNamespace(
+            source=str(tmp_path / "missing.conll"), target=str(tmp_path / "missing.conll"),
+            multiplier=0, output=str(tmp_path / "joint.conll"),
+        )
+        with pytest.raises(UsageError, match="--multiplier must be >= 1"):
+            _cmd_joint(args)
+        assert not (tmp_path / "joint.conll").exists()

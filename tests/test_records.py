@@ -2,12 +2,14 @@
 rejected, and the ones a process pool ships survive pickling."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
+from xner.cli import _cmd_joint
 from xner.corpus import Document, Sentence
 from xner.masker import MaskedExample, MaskingConfig, MaskTarget
-from xner.nerdata import JointConfig, LabeledSentence
+from xner.nerdata import LabeledSentence
 from xner.selector import SelectorConfig
 
 
@@ -43,7 +45,12 @@ def _example(*positions):
     pytest.param(lambda: SelectorConfig(min_mentions=0), id="selector-min-mentions"),
     pytest.param(lambda: SelectorConfig(min_specialized=0), id="selector-min-specialized"),
     pytest.param(lambda: SelectorConfig(task_upsample=0), id="selector-task-upsample"),
-    pytest.param(lambda: JointConfig(0), id="joint-multiplier"),
+    pytest.param(
+        lambda: _cmd_joint(SimpleNamespace(
+            source="missing.conll", target="missing.conll", multiplier=0, output="-",
+        )),
+        id="joint-multiplier",
+    ),
 ])
 def test_validated_records_reject_bad_input(build):
     with pytest.raises(ValueError):
@@ -58,7 +65,6 @@ def test_fields_and_defaults():
     assert MaskingConfig() == (0.15, 0.80, 0.10, 0.10, "token", 0, 5)
     assert MaskingConfig(strategy="span", seed=3).seed == 3
     assert SelectorConfig() == (2, 1, 2)
-    assert JointConfig().multiplier == 100
     assert _example(0, 2).targets[1] == MaskTarget(2, "w", "keep")
 
 
