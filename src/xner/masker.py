@@ -14,7 +14,7 @@ import math
 import random
 from collections import Counter, namedtuple
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from xner.corpus import Sentence
 from xner.seeding import stable_hash
@@ -47,10 +47,9 @@ class MaskingConfig(namedtuple(
         return self
 
 
-class MaskTarget(NamedTuple):
-    position: int
-    original: str
-    kind: str  # mask | random | keep
+class MaskTarget(namedtuple("MaskTarget", "position original kind")):  # kind: mask | random | keep
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)  # unchecked, for apply_replacements
 
 
 class MaskedExample(namedtuple("MaskedExample", "doc_id sentence_index output_tokens targets")):
@@ -155,6 +154,7 @@ def apply_replacements(
     output = list(tokens)
     targets = []
     roll = rng.random
+    make_target = MaskTarget._make
     mask_below, random_below = cfg.mask_token_prob, cfg.mask_token_prob + cfg.random_token_prob
     for position in positions:
         p = roll()
@@ -166,7 +166,7 @@ def apply_replacements(
             output[position] = vocabulary[rng.randrange(len(vocabulary))]
         else:
             kind = "keep"
-        targets.append(MaskTarget(position, tokens[position], kind))
+        targets.append(make_target((position, tokens[position], kind)))
     return MaskedExample._make((doc_id, sentence_index, tuple(output), tuple(targets)))
 
 

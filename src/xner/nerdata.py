@@ -90,6 +90,10 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
     entity_spans chunks as conlleval does. A line with one field or a bad
     tag raises DataError("path:line: ...").
 
+    Tokens and tags are interned as they are read, so equal strings are
+    one object across sentences and files, and the tuples are built from
+    sized lists, so a kept tuple has no spare slots.
+
     Each sentence's lines field is its token lines exactly as read, every
     column, separator and trailing space kept and each line ending in
     "\n" (one is added after a last line that has none), so writing it
@@ -107,8 +111,8 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
             if len(parts) > 1 and parts[0] != "-DOCSTART-":
                 if not tokens:
                     start = lineno
-                tokens.append(parts[0])
-                tags.append(parts[-1])
+                tokens.append(intern(parts[0]))
+                tags.append(intern(parts[-1]))
                 lines.append(line)
             elif parts and parts[0] != "-DOCSTART-":
                 raise DataError(f"{path}:{lineno}: expected 'token ... tag', got {parts[0]!r}")
@@ -133,15 +137,11 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
 
 
 def parse_conll(path) -> list[LabeledSentence]:
-    """Every sentence of iter_conll(path, strict=True) as a LabeledSentence,
-    its tokens and tags interned so that equal strings are shared, and
-    equal tag sequences shared as one tuple."""
+    """Every sentence of iter_conll(path, strict=True) as a LabeledSentence.
+    The reader's interned, exact-size tuples are kept as they are, and
+    equal tag sequences are shared as one tuple."""
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-    sentences = []
-    for s in iter_conll(path):
-        tokens, tags = tuple(map(intern, s.tokens)), tuple(map(intern, s.tags))
-        sentences.append(LabeledSentence(tokens, shared.setdefault(tags, tags)))
-    return sentences
+    return [LabeledSentence(s.tokens, shared.setdefault(s.tags, s.tags)) for s in iter_conll(path)]
 
 
 def entity_spans(tags: Sequence[str]) -> dict[tuple[int, int], str]:

@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import make_labeled, random_bio_tags
 from ref_conlleval import is_chunk_end, is_chunk_start, split_tag
 from ref_nerdata import build_joint, extract_entities, serialize_conll
+from xner import nerdata
 from xner.cli import _cmd_joint
 from xner.errors import DataError, UsageError
 from xner.gazetteer import mentions_to_bio
@@ -258,6 +260,39 @@ class TestParseConllInterning:
         assert first.tags == ("B-person", "O")
         assert first.tags is third.tags
         assert second.tags == ("B-band", "O")
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_reader_interns_across_sentences_and_files(self, tmp_path, strict):
+        one = tmp_path / "one.conll"
+        two = tmp_path / "two.conll"
+        one.write_text("Kurt B-person\nCobain I-person\nsang O\n\nCobain B-person\nwrote O\n")
+        two.write_text("Cobain\tB-person\nsang\tO\n")
+        (a, b), (c,) = list(iter_conll(one, strict)), list(iter_conll(two, strict))
+        assert a.tokens[1] is b.tokens[0] is c.tokens[0]
+        assert a.tokens[2] is c.tokens[1]
+        assert a.tags[0] is b.tags[0] is c.tags[0]
+        assert a.tags[1] is sys.intern("".join(["I-", "person"]))
+
+    def test_parse_conll_keeps_the_readers_tuples(self, tmp_path, monkeypatch):
+        read = []
+
+        def recording_iter_conll(*args, **kwargs):
+            for s in iter_conll(*args, **kwargs):
+                read.append(s)
+                yield s
+
+        monkeypatch.setattr(nerdata, "iter_conll", recording_iter_conll)
+        gold = tmp_path / "gold.conll"
+        gold.write_text(
+            "Kurt B-person\nsang O\n\nNirvana B-band\nplayed O\n\nBjork B-person\nsang O\n"
+        )
+        sentences = parse_conll(gold)
+        assert len(read) == len(sentences) == 3
+        for r, s in zip(read, sentences):
+            assert s.tokens is r.tokens
+        assert sentences[0].tags is read[0].tags
+        assert sentences[1].tags is read[1].tags
+        assert sentences[2].tags is read[0].tags
 
 
 class TestLabeledSentence:
