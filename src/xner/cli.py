@@ -45,7 +45,7 @@ def _add_corpus_args(p):
     p.add_argument("--input", required=True, help="corpus file")
     p.add_argument("--format", choices=("plain", "jsonl"), default="plain")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: XNER_WORKERS or CPU count)")
+                   help="worker processes (default: XNER_WORKERS or the CPUs xner may use)")
 
 
 def build_parser() -> _Parser:
@@ -173,7 +173,12 @@ def _workers(args) -> int:
         env = os.environ.get("XNER_WORKERS")
         if env and not env.strip().isdecimal():
             raise UsageError(f"XNER_WORKERS must be a positive integer, got {env!r}")
-        n = int(env) if env else os.cpu_count() or 1
+        if env:
+            n = int(env)
+        elif hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+            n = len(os.sched_getaffinity(0))
+        else:
+            n = os.cpu_count() or 1
     if n < 1:
         raise UsageError("--workers and XNER_WORKERS must be >= 1")
     return n

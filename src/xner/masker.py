@@ -170,33 +170,26 @@ def apply_replacements(
     return MaskedExample._make((doc_id, sentence_index, tuple(output), tuple(targets)))
 
 
-def sentence_rng(cfg: MaskingConfig, doc_id: str, sentence_index: int) -> random.Random:
-    """Per-sentence RNG; masking output never depends on scheduling order."""
-    return random.Random(stable_hash(cfg.seed, doc_id, sentence_index))
-
-
-def mask_sentence(
-    sentence: Sentence, cfg: MaskingConfig, vocabulary: Sequence[str]
-) -> MaskedExample:
-    rng = sentence_rng(cfg, sentence.doc_id, sentence.index)
-    indices = select_mask_indices(len(sentence), cfg, rng)
-    if cfg.strategy == "span":
-        indices = spanify(indices, len(sentence))
-    return apply_replacements(
-        sentence.tokens, indices, cfg, rng, vocabulary,
-        doc_id=sentence.doc_id, sentence_index=sentence.index,
-    )
-
-
 def mask_corpus(
     corpus: Iterable[Sentence], cfg: MaskingConfig, vocabulary: Sequence[str]
 ) -> Iterator[MaskedExample]:
-    """Masked examples for every sentence of at least min_sentence_len tokens."""
+    """Masked examples for every sentence of at least min_sentence_len tokens.
+
+    Each sentence draws from random.Random(stable_hash(cfg.seed, doc_id,
+    sentence_index)), so the output never depends on scheduling order. One
+    Random is reseeded for each sentence: Random(x) runs seed(x), so the
+    stream is the same as a new Random's.
+    """
     threshold = max(2, cfg.min_sentence_len)
-    for sentence in corpus:
-        if len(sentence) < threshold:
+    rng = random.Random()
+    for doc_id, index, tokens in corpus:
+        if len(tokens) < threshold:
             continue
-        yield mask_sentence(sentence, cfg, vocabulary)
+        rng.seed(stable_hash(cfg.seed, doc_id, index))
+        indices = select_mask_indices(len(tokens), cfg, rng)
+        if cfg.strategy == "span":
+            indices = spanify(indices, len(tokens))
+        yield apply_replacements(tokens, indices, cfg, rng, vocabulary, doc_id, index)
 
 
 def build_vocabulary(token_texts: Iterable[str], size: int = 50_000) -> list[str]:

@@ -1,16 +1,20 @@
-"""Reference masker stages: the plain versions of spanify, apply_replacements
-and the JSON encoding of a masked example.
+"""Reference masker stages: the plain versions of spanify, apply_replacements,
+mask_corpus and the JSON encoding of a masked example.
 
 Used only as an oracle for the package's fast paths. spanify copies the
 set and ranks partners with a key function for every isolated index,
 apply_replacements range-checks each position and re-reads the
-configuration on every draw, and an example is encoded by json.dumps of
-its record dict. Only the records and the mask symbol are shared with
-the package.
+configuration on every draw, mask_corpus builds a new
+random.Random(stable_hash(seed, doc_id, sentence_index)) for every
+sentence, and an example is encoded by json.dumps of its record dict.
+Only the records and the mask symbol are shared with the package.
 """
 
 import json
+import math
+import random
 
+from ref_seeding import stable_hash
 from xner.masker import MASK_SYMBOL, MaskedExample, MaskTarget
 
 
@@ -66,6 +70,20 @@ def apply_replacements(tokens, indices, cfg, rng, vocabulary, doc_id="", sentenc
             kind = "keep"
         targets.append(MaskTarget(position, original, kind))
     return MaskedExample(doc_id, sentence_index, tuple(output), tuple(targets))
+
+
+def mask_corpus(corpus, cfg, vocabulary):
+    for sentence in corpus:
+        n = len(sentence.tokens)
+        if n < max(2, cfg.min_sentence_len):
+            continue
+        rng = random.Random(stable_hash(cfg.seed, sentence.doc_id, sentence.index))
+        indices = set(rng.sample(range(n), max(1, math.floor(cfg.mask_rate * n + 0.5))))
+        if cfg.strategy == "span":
+            indices = spanify(indices, n)
+        yield apply_replacements(
+            sentence.tokens, indices, cfg, rng, vocabulary, sentence.doc_id, sentence.index
+        )
 
 
 def to_record(example):

@@ -116,6 +116,24 @@ class TestStats:
         assert out == ""
         assert err == f"xner: usage error: {message}\n"
 
+    def test_default_workers_are_the_cpus_this_process_may_use(
+        self, capsys, monkeypatch, music_corpus
+    ):
+        monkeypatch.delenv("XNER_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        calls = []
+
+        def map_documents(worker, documents, workers):
+            calls.append(workers)
+            return map(worker, documents)
+
+        monkeypatch.setattr(pipelines, "map_documents", map_documents)
+        code, out, _ = run_cli(capsys, "stats", "--input", str(music_corpus))
+        assert code == 0
+        assert json.loads(out)["sentences"] == 5
+        assert calls == [1]
+
 
 class TestExtract:
     def test_integrated_token_identity(
@@ -414,6 +432,22 @@ class TestMask:
             outputs[workers] = (out, out_path.read_bytes())
         assert outputs["1"] == outputs["2"] == outputs["3"]
         assert json.loads(outputs["1"][0])["sentences"] == 27
+
+    @pytest.mark.parametrize("strategy", ["token", "span"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_golden_bytes(self, capsys, tmp_path, strategy, workers):
+        # Two documents with clitics, quotes, backslashes and non-BMP
+        # characters; the expected lines were written by the version that
+        # built a new Random for every sentence.
+        out_path = tmp_path / "m.jsonl"
+        code, out, _ = run_cli(
+            capsys, "mask", "--strategy", strategy, "--seed", "11", "--rate", "0.3",
+            "--input", str(DATA_DIR / "mask_corpus.txt"), "--output", str(out_path),
+            "--workers", workers,
+        )
+        assert code == 0
+        assert json.loads(out) == {"strategy": strategy, "sentences": 6, "targets": 30}
+        assert out_path.read_bytes() == (DATA_DIR / f"mask_corpus.{strategy}.jsonl").read_bytes()
 
     def test_bad_rate_is_usage_error(self, capsys, tmp_path, music_corpus):
         code, _, err = run_cli(

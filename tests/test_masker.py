@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import ref_masker
 from conftest import make_sentence, reference_ranking
+from xner.corpus import Sentence
+from xner.seeding import stable_hash
 from xner.masker import (
     MASK_SYMBOL,
     MaskedExample,
@@ -18,9 +20,7 @@ from xner.masker import (
     build_vocabulary,
     mask_budget,
     mask_corpus,
-    mask_sentence,
     select_mask_indices,
-    sentence_rng,
     spanify,
 )
 
@@ -332,6 +332,29 @@ class TestMaskCorpus:
         parts += [e.to_json() for e in mask_corpus(corpus[13:], cfg, ["v"])]
         assert whole == parts
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_reference(self, data):
+        # One reseeded Random gives the stream of a new Random per sentence.
+        lengths = data.draw(st.lists(st.integers(1, 20), max_size=8))
+        corpus = [
+            Sentence(data.draw(st.sampled_from(["d", "é\"d", "d\U0001f600"])), index,
+                     tuple(data.draw(st.lists(TEXT, min_size=n, max_size=n))))
+            for index, n in enumerate(lengths)
+        ]
+        probs = data.draw(CONFIGS)
+        cfg = MaskingConfig(
+            data.draw(st.floats(0.01, 0.99)),
+            probs.mask_token_prob, probs.random_token_prob, probs.keep_prob,
+            strategy=data.draw(st.sampled_from(["token", "span"])),
+            seed=data.draw(st.integers(0, 2**64)),
+            min_sentence_len=data.draw(st.integers(1, 8)),
+        )
+        vocabulary = data.draw(st.lists(TEXT, min_size=1, max_size=3))
+        lines = [e.to_json() for e in mask_corpus(corpus, cfg, vocabulary)]
+        expected = ref_masker.mask_corpus(corpus, cfg, vocabulary)
+        assert lines == [ref_masker.to_json(e) for e in expected]
+
     def test_worked_example_span_migration(self):
         # force the masked positions {4, 10} through a seed search,
         # then check the span strategy lands the masks on {9, 10}
@@ -344,12 +367,12 @@ class TestMaskCorpus:
             candidate = MaskingConfig(seed=seed, strategy="span",
                                       mask_token_prob=1.0, random_token_prob=0.0,
                                       keep_prob=0.0)
-            rng = sentence_rng(candidate, sentence.doc_id, sentence.index)
+            rng = random.Random(stable_hash(seed, sentence.doc_id, sentence.index))
             if select_mask_indices(12, candidate, rng) == {4, 10}:
                 cfg = candidate
                 break
         assert cfg is not None, "no seed produced the worked example's mask set"
-        example = mask_sentence(sentence, cfg, ["v"])
+        (example,) = mask_corpus([sentence], cfg, ["v"])
         assert {t.position for t in example.targets} == {9, 10}
         assert example.output_tokens == (
             "Western", "music's", "effect", "would", "continue", "to",
