@@ -143,10 +143,13 @@ def _output(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{os.path.basename(path)}.", suffix=".tmp",
-        dir=os.path.dirname(os.path.abspath(path)),
-    )
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+            dir=os.path.dirname(os.path.abspath(path)),
+        )
+    except OSError as exc:  # it names the temporary file; report the output path
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             yield fh

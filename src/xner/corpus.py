@@ -39,22 +39,11 @@ LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class Sentence(namedtuple("Sentence", "doc_id index tokens")):
-    """A tokenized sentence, addressable as (doc_id, index) within a corpus.
-
-    The constructor checks its fields; _make skips the checks, and only
-    segment uses it, on split_text's tokens.
-    """
+    """A tokenized sentence, addressable as (doc_id, index) within a corpus;
+    split_text makes its tokens non-empty and whitespace-free, unchecked."""
 
     __slots__ = ()
     _make = classmethod(tuple.__new__)  # the base's _make checks len(), the token count
-
-    def __new__(cls, doc_id: str, index: int, tokens: tuple[str, ...]):
-        if index < 0:
-            raise ValueError("sentence index must be non-negative")
-        if not tokens:
-            raise ValueError("sentence must contain at least one token")
-        check_tokens(tokens)
-        return super().__new__(cls, doc_id, index, tokens)
 
     def __len__(self):
         return len(self.tokens)
@@ -88,17 +77,6 @@ class CorpusStats(NamedTuple):
             "sentences": self.sentence_count,
             "tokens": self.token_count,
         }
-
-
-def check_tokens(tokens: tuple[str, ...]) -> None:
-    """Raise unless every token is a non-empty str without whitespace.
-
-    One C-level join and split per sentence: the split yields exactly one
-    piece per token only when no token is empty or contains whitespace.
-    A non-str token raises TypeError.
-    """
-    if len(" ".join(tokens).split()) != len(tokens):
-        raise ValueError(f"tokens must be non-empty and whitespace-free: {tokens!r}")
 
 
 def split_text(text: str) -> list[str]:
@@ -196,10 +174,7 @@ def _sentence_tokens(document: Document) -> list[list[str]]:
 
 
 def segment(document: Document) -> list[Sentence]:
-    """Segment a document into tokenized sentences with dense indices.
-
-    split_text yields only non-empty, whitespace-free tokens, so the
-    sentences are built unchecked."""
+    """Segment a document into tokenized sentences with dense indices."""
     make = Sentence._make
     return [
         make((document.id, index, tuple(tokens)))

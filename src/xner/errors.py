@@ -23,9 +23,10 @@ class WorkerError(RuntimeError):
 @contextmanager
 def open_text(path):
     """Open path for reading as UTF-8 text; invalid UTF-8 raises
-    DataError("path:line: invalid UTF-8") and costs the read loop nothing."""
+    DataError("path:line: invalid UTF-8") and costs the read loop nothing.
+    A byte-order mark at the start of the file is skipped, not read as text."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         # The text reader decodes ahead in blocks, so find the line in bytes.

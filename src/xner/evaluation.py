@@ -58,9 +58,6 @@ class OverlapMatrix(NamedTuple):
     values: tuple  # row-major percentages; value[a][b] = 100*|Va & Vb|/|Va|
     k: int
 
-    def value(self, a: str, b: str) -> float:
-        return self.values[self.domains.index(a)][self.domains.index(b)]
-
     def as_dict(self) -> dict:
         return {
             "k": self.k,

@@ -88,7 +88,6 @@ class Gazetteer:
     ):
         rows = entries.items() if isinstance(entries, Mapping) else entries
         self._trie: dict = {}
-        self._size = 0
         intern = {}.setdefault  # one string object per distinct token
         # A set of several types stays in the trie, one object per set, until
         # every row is in, as resolve_type(A | B) needs A; pending finds it.
@@ -113,7 +112,6 @@ class Gazetteer:
             if child.__class__ is dict:
                 node, token, child = child, _END, child.get(_END)
             if child is None:
-                self._size += 1
                 token = intern(token, token)
             else:
                 types |= {child} if child.__class__ is str else child
@@ -128,9 +126,6 @@ class Gazetteer:
                 node, key = node[key], _END
             if (types := node[key]).__class__ is not str:  # not resolved yet
                 node[key] = resolved[types]
-
-    def __len__(self):
-        return self._size
 
     def longest_match(self, texts: Sequence[str], start: int):
         """Longest entry starting at position start, as (end, type), or None."""

@@ -54,15 +54,7 @@ class MaskTarget(namedtuple("MaskTarget", "position original kind")):  # kind: m
 
 class MaskedExample(namedtuple("MaskedExample", "doc_id sentence_index output_tokens targets")):
     __slots__ = ()
-    # Unchecked, for apply_replacements, whose positions strictly increase.
-    _make = classmethod(tuple.__new__)
-
-    def __new__(cls, doc_id: str, sentence_index: int, output_tokens: tuple[str, ...],
-                targets: tuple[MaskTarget, ...]):
-        positions = [t.position for t in targets]
-        if positions != sorted(set(positions)):
-            raise ValueError("target positions must be strictly increasing")
-        return super().__new__(cls, doc_id, sentence_index, output_tokens, targets)
+    _make = classmethod(tuple.__new__)  # unchecked, for apply_replacements
 
     def to_json(self) -> str:
         """json.dumps(record, ensure_ascii=False) of the record {doc_id, sentence_index,

@@ -12,25 +12,19 @@ from itertools import chain
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from xner.corpus import check_tokens
 from xner.errors import DataError, open_text
 
 
 class LabeledSentence(namedtuple("LabeledSentence", "tokens tags")):
     __slots__ = ()
-    _make = classmethod(tuple.__new__)  # the base's _make checks len(), the token count
 
     def __new__(cls, tokens: tuple[str, ...], tags: tuple[str, ...]):
         if len(tokens) != len(tags):
             raise ValueError(f"{len(tokens)} tokens but {len(tags)} tags")
-        check_tokens(tokens)
         bad = validate_bio(tags)
         if bad:
             raise ValueError(f"invalid BIO tags at positions {bad}: {tags}")
         return super().__new__(cls, tokens, tags)
-
-    def __len__(self):
-        return len(self.tokens)
 
 
 class SplitStats(NamedTuple):
@@ -90,9 +84,10 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
     entity_spans chunks as conlleval does. A line with one field or a bad
     tag raises DataError("path:line: ...").
 
-    Tokens and tags are interned as they are read, so equal strings are
-    one object across sentences and files, and the tuples are built from
-    sized lists, so a kept tuple has no spare slots.
+    With strict=True, tokens and tags are interned as they are read, so
+    equal strings are one object across sentences and files; the lenient
+    read's sentences are scored and dropped, so it does not intern. The
+    tuples are built from sized lists, so a kept tuple has no spare slots.
 
     Each sentence's lines field is its token lines exactly as read, every
     column, separator and trailing space kept and each line ending in
@@ -111,8 +106,8 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
             if len(parts) > 1 and parts[0] != "-DOCSTART-":
                 if not tokens:
                     start = lineno
-                tokens.append(intern(parts[0]))
-                tags.append(intern(parts[-1]))
+                tokens.append(intern(parts[0]) if strict else parts[0])
+                tags.append(intern(parts[-1]) if strict else parts[-1])
                 lines.append(line)
             elif parts and parts[0] != "-DOCSTART-":
                 raise DataError(f"{path}:{lineno}: expected 'token ... tag', got {parts[0]!r}")

@@ -41,10 +41,19 @@ class Gazetteer:
         }
         for node in terminals:
             node[_END] = resolved[node[_END]]
-        self._size = len(terminals)
 
-    def __len__(self):
-        return self._size
+    def entries(self):
+        """{surface: type} of every entry in the trie."""
+        found = {}
+        stack = [((), self._trie)]
+        while stack:
+            surface, node = stack.pop()
+            for token, child in node.items():
+                if token == _END:
+                    found[surface] = child
+                else:
+                    stack.append((surface + (token,), child))
+        return found
 
     def longest_match(self, texts, start):
         node = self._trie

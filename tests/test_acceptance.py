@@ -315,16 +315,16 @@ def test_10_vocabulary_overlap_sanity():
     with criterion(10, "overlap: self=100, disjoint=0, toy case=60.0"):
         start = time.perf_counter()
         same = vocab_overlap({"a": ["x", "y"], "b": ["x", "y"]}, k=5, stopwords=[])
-        assert same.value("a", "a") == 100.0
-        assert same.value("a", "b") == 100.0
+        assert same.values[0][0] == 100.0
+        assert same.values[0][1] == 100.0
         disjoint = vocab_overlap({"a": ["x"], "b": ["y"]}, k=5, stopwords=[])
-        assert disjoint.value("a", "b") == 0.0
+        assert disjoint.values[0][1] == 0.0
         a_words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
         b_words = ["alpha", "beta", "gamma", "theta", "iota", "kappa"]
         corpus_a = [w for w, c in zip(a_words, range(6, 0, -1)) for _ in range(c)]
         corpus_b = [w for w, c in zip(b_words, range(6, 0, -1)) for _ in range(c)]
         toy = vocab_overlap({"a": corpus_a, "b": corpus_b}, k=5, stopwords=[])
-        assert toy.value("a", "b") == 60.0
+        assert toy.values[0][1] == 60.0
         assert time.perf_counter() - start < 1
 
 

@@ -1239,6 +1239,20 @@ class TestFailedRuns:
         assert windows == ([] if workers == "1" else [2])
         self._assert_untouched(out)
 
+    def test_missing_output_directory_names_the_given_path(
+        self, capsys, monkeypatch, tmp_path, music_corpus, gazetteer_file
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "extract", "--input", str(music_corpus), "--workers", "1",
+            "--level", "entity", "--gazetteer", str(gazetteer_file), "--output", "nodir/e.txt",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "xner: data error: [Errno 2] No such file or directory: 'nodir/e.txt'\n"
+        assert ".tmp" not in err
+        assert not (tmp_path / "nodir").exists()
+
     def test_success_replaces_output_with_default_mode(
         self, capsys, tmp_path, music_corpus
     ):

@@ -48,21 +48,48 @@ def is_entry(g, surface):
     return match is not None and match[0] == len(surface)
 
 
+def trie_entries(g):
+    """{surface: type} of every entry in the compact trie, where a leaf is
+    the type itself and an extended entry keeps its type under ""."""
+    found = {}
+    stack = [((), g._trie)]
+    while stack:
+        surface, node = stack.pop()
+        for token, child in node.items():
+            if token == "":
+                found[surface] = child
+            elif child.__class__ is str:
+                found[surface + (token,)] = child
+            else:
+                stack.append((surface + (token,), child))
+    return found
+
+
 class TestLoadGazetteer:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("")
-        assert len(load_gazetteer(path)) == 0
+        assert trie_entries(load_gazetteer(path)) == ref_gazetteer.Gazetteer().entries() == {}
 
     def test_single_entry(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("Mars\tastronomicalobject\n")
         g = load_gazetteer(path)
-        assert len(g) == 1
+        ref = ref_gazetteer.Gazetteer([(("Mars",), {"astronomicalobject"})])
+        assert trie_entries(g) == ref.entries() == {("Mars",): "astronomicalobject"}
         assert is_entry(g, ("Mars",))
         assert not is_entry(g, ("Mars", "Mars"))
         [m] = find_mentions(make_sentence("Mars rose"), g)
         assert m.entity_type == "astronomicalobject"
+
+    def test_byte_order_mark_is_not_text(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes("\ufeffKurt Cobain\tmusicalartist\nNirvana\tband\n".encode())
+        g = load_gazetteer(path)
+        assert trie_entries(g) == {("Kurt", "Cobain"): "musicalartist", ("Nirvana",): "band"}
+        assert [m.entity_type for m in find_mentions(make_sentence("Kurt Cobain sang"), g)] == [
+            "musicalartist"
+        ]
 
     def test_duplicate_surface_merges_types(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -70,7 +97,8 @@ class TestLoadGazetteer:
             "Hugo Chávez\tpolitician\nHugo Chávez\tperson\nHugo Chávez\tpolitician\n"
         )
         g = load_gazetteer(path)
-        assert len(g) == 1
+        ref = ref_gazetteer.Gazetteer([(("Hugo", "Chávez"), {"politician", "person"})])
+        assert trie_entries(g) == ref.entries() == {("Hugo", "Chávez"): "person"}
         assert is_entry(g, ("Hugo", "Chávez"))
         # Without a hierarchy the lexicographically smallest type wins, and
         # only the merged set {politician, person} can resolve to person.
@@ -145,7 +173,7 @@ class TestLoadGazetteer:
                 Gazetteer(((s, {t}) for s, t in rows), hierarchy=h),
                 load_gazetteer(path, hierarchy=h),
             ):
-                assert len(g) == len(merged)
+                assert trie_entries(g) == ref_gazetteer.Gazetteer(merged, h).entries()
                 assert all(is_entry(g, surface) for surface in merged)
                 mentions = find_mentions(make_sentence(" ".join(texts)), g)
                 assert [(m.start, m.end, m.entity_type) for m in mentions] == expected
@@ -348,7 +376,7 @@ def hierarchies(draw):
 def test_matches_the_reference_trie(rows, hierarchy, sentences):
     g = Gazetteer(rows, hierarchy)
     ref = ref_gazetteer.Gazetteer(rows, hierarchy)
-    assert len(g) == len(ref)
+    assert trie_entries(g) == ref.entries()
     for texts in sentences:
         for start in range(len(texts)):
             assert g.longest_match(texts, start) == ref.longest_match(texts, start)
@@ -370,13 +398,13 @@ def _retained_bytes(build):
     try:
         before = tracemalloc.get_traced_memory()[0]
         built = build()
-        return tracemalloc.get_traced_memory()[0] - before, len(built)
+        return tracemalloc.get_traced_memory()[0] - before, built
     finally:
         tracemalloc.stop()
 
 
 def test_memory_is_at_most_three_quarters_of_the_reference_trie():
-    new, new_len = _retained_bytes(lambda: Gazetteer(_rows_with_fresh_tokens()))
-    ref, ref_len = _retained_bytes(lambda: ref_gazetteer.Gazetteer(_rows_with_fresh_tokens()))
-    assert new_len == ref_len
+    new, g = _retained_bytes(lambda: Gazetteer(_rows_with_fresh_tokens()))
+    ref, ref_g = _retained_bytes(lambda: ref_gazetteer.Gazetteer(_rows_with_fresh_tokens()))
+    assert trie_entries(g) == ref_g.entries()
     assert new <= 0.75 * ref, (new, ref)

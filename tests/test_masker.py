@@ -381,13 +381,6 @@ class TestMaskCorpus:
 
 
 class TestMaskedExample:
-    def test_duplicate_target_positions_rejected(self):
-        with pytest.raises(ValueError):
-            MaskedExample(
-                "d", 0, ("a", "b"),
-                (MaskTarget(1, "b", "keep"), MaskTarget(1, "b", "keep")),
-            )
-
     def test_record_round_trip_fields(self):
         example = MaskedExample(
             "d", 3, ("[MASK]", "b"),

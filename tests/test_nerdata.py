@@ -14,7 +14,6 @@ from xner.cli import _cmd_joint
 from xner.errors import DataError, UsageError
 from xner.gazetteer import mentions_to_bio
 from xner.nerdata import (
-    LabeledSentence,
     dataset_stats,
     entity_spans,
     iter_conll,
@@ -167,6 +166,14 @@ class TestIterConllLines:
         [s] = iter_conll(path, strict=False)
         assert s.lines == "a\tI-x\nb O\n"
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_byte_order_mark_is_not_text(self, tmp_path, strict):
+        path = tmp_path / "f.conll"
+        path.write_bytes("\ufeffNirvana B-band\nplayed O\n".encode())
+        [s] = iter_conll(path, strict)
+        assert (s.where, s.tokens, s.tags) == (f"{path}:1", ("Nirvana", "played"), ("B-band", "O"))
+        assert s.lines == "Nirvana B-band\nplayed O\n"
+
 
 class TestExtractEntities:
     def test_all_outside(self):
@@ -268,10 +275,18 @@ class TestParseConllInterning:
         one.write_text("Kurt B-person\nCobain I-person\nsang O\n\nCobain B-person\nwrote O\n")
         two.write_text("Cobain\tB-person\nsang\tO\n")
         (a, b), (c,) = list(iter_conll(one, strict)), list(iter_conll(two, strict))
-        assert a.tokens[1] is b.tokens[0] is c.tokens[0]
-        assert a.tokens[2] is c.tokens[1]
-        assert a.tags[0] is b.tags[0] is c.tags[0]
-        assert a.tags[1] is sys.intern("".join(["I-", "person"]))
+        if strict:
+            assert a.tokens[1] is b.tokens[0] is c.tokens[0]
+            assert a.tokens[2] is c.tokens[1]
+            assert a.tags[0] is b.tags[0] is c.tags[0]
+            assert a.tags[1] is sys.intern("".join(["I-", "person"]))
+        else:
+            # The lenient read's sentences are scored and dropped, so it
+            # does not intern; its strings are equal, not shared.
+            assert a.tokens[1] == b.tokens[0] == c.tokens[0] == "Cobain"
+            assert a.tokens[2] == c.tokens[1] == "sang"
+            assert a.tags[0] == b.tags[0] == c.tags[0] == "B-person"
+            assert a.tags[1] == "I-person"
 
     def test_parse_conll_keeps_the_readers_tuples(self, tmp_path, monkeypatch):
         read = []
@@ -303,13 +318,6 @@ class TestLabeledSentence:
     def test_invalid_bio_rejected(self):
         with pytest.raises(ValueError):
             make_labeled("a b", ["O", "I-x"])
-
-    def test_rejects_whitespace_and_empty_tokens(self):
-        for tokens in (("a b",), ("",), ("a", ""), ("a", "b\tc")):
-            with pytest.raises(ValueError):
-                LabeledSentence(tokens, ("O",) * len(tokens))
-        with pytest.raises(TypeError):
-            LabeledSentence(("a", 1), ("O", "O"))
 
     def test_immutable(self):
         sentence = make_labeled("x", ["O"])
