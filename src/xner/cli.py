@@ -11,12 +11,15 @@ its command succeeds.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
+import math
 import os
 import stat
 import sys
 import tempfile
 from contextlib import contextmanager
+from itertools import count
 from pathlib import Path
 
 from xner.corpus import LONE_SURROGATE, corpus_tokens, load_corpus
@@ -24,7 +27,7 @@ from xner.errors import DataError, UsageError, WorkerError, data_lines
 from xner.evaluation import misclassification_rate, score, vocab_overlap
 from xner.gazetteer import TypeHierarchy, load_gazetteer
 from xner.masker import MaskingConfig, build_vocabulary
-from xner.nerdata import dataset_stats, iter_conll, parse_conll, subsample
+from xner.nerdata import dataset_stats, iter_conll, parse_conll
 from xner.pipelines import (
     LEVELS,
     select_documents,
@@ -33,6 +36,7 @@ from xner.pipelines import (
     write_masked,
     write_pre_annotated,
 )
+from xner.seeding import stable_hash
 from xner.selector import SelectorConfig, load_external_mentions
 
 
@@ -41,10 +45,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number(kind, lo, hi, expected):
+    """An argparse type: kind(text) when lo <= value <= hi, which NaN and the
+    infinities never are; else a usage error that names the flag."""
+    def parse(text):
+        value = kind(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # so a non-number reads "invalid int value: 'x'"
+    return parse
+
+
+_POSITIVE = _number(int, 1, math.inf, ">= 1")
+
+
+def _type_pair(text):
+    from_type, _, to_type = text.partition(",")
+    if not (from_type and to_type):
+        raise argparse.ArgumentTypeError(f"must be FROM,TO with both types given, got {text!r}")
+    return from_type, to_type
+
+
 def _add_corpus_args(p):
     p.add_argument("--input", required=True, help="corpus file")
     p.add_argument("--format", choices=("plain", "jsonl"), default="plain")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_POSITIVE, default=None,
                    help="worker processes (default: XNER_WORKERS or the CPUs xner may use)")
 
 
@@ -62,10 +88,10 @@ def build_parser() -> _Parser:
     p.add_argument("--hierarchy", help="child<TAB>parent TSV")
     p.add_argument("--specialized", help="one specialized type per line")
     p.add_argument("--mentions", help="external mention JSONL instead of gazetteer matching")
-    p.add_argument("--min-mentions", type=int, default=2)
-    p.add_argument("--min-specialized", type=int, default=1)
-    p.add_argument("--upsample", type=int, default=2)
-    p.add_argument("--percent", type=float, default=None,
+    p.add_argument("--min-mentions", type=_POSITIVE, default=2)
+    p.add_argument("--min-specialized", type=_POSITIVE, default=1)
+    p.add_argument("--upsample", type=_POSITIVE, default=2)
+    p.add_argument("--percent", type=_number(float, 0, 100, "in [0, 100]"), default=None,
                    help="keep this percentage of sentences before selection")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
@@ -73,10 +99,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mask", help="generate masked LM examples")
     _add_corpus_args(p)
     p.add_argument("--strategy", choices=("token", "span"), default="token")
-    p.add_argument("--rate", type=float, default=0.15)
+    p.add_argument("--rate", default=0.15, type=_number(
+        float, math.nextafter(0, 1), math.nextafter(1, 0), "in (0, 1)"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-len", type=int, default=5)
-    p.add_argument("--vocab-size", type=int, default=50_000)
+    p.add_argument("--min-len", type=_POSITIVE, default=5)
+    p.add_argument("--vocab-size", type=_POSITIVE, default=50_000)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("ner-stats", help="labeled split statistics")
@@ -85,14 +112,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="entity-level F1 evaluation")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--misclassify", metavar="FROM,TO",
+    p.add_argument("--misclassify", type=_type_pair, metavar="FROM,TO",
                    help="also report the FROM->TO exact-span misclassification rate")
     p.add_argument("--output", help="write the full JSON report here")
 
     p = sub.add_parser("overlap", help="vocabulary overlap between corpora")
     p.add_argument("--inputs", nargs="+", required=True, metavar="NAME=PATH")
     p.add_argument("--format", choices=("plain", "jsonl"), default="plain")
-    p.add_argument("--top-k", type=int, default=5000)
+    p.add_argument("--top-k", type=_POSITIVE, default=5000)
     p.add_argument("--stopwords", help="one stopword per line (default: built-in list)")
 
     p = sub.add_parser("pre-annotate", help="gazetteer BIO pre-annotation")
@@ -103,14 +130,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("subsample", help="few-shot training subsample")
     p.add_argument("--input", required=True, help="CoNLL file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_number(int, 0, math.inf, ">= 0"), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("joint", help="source + upsampled target joint set")
     p.add_argument("--source", required=True, help="CoNLL file")
     p.add_argument("--target", required=True, help="CoNLL file")
-    p.add_argument("--multiplier", type=int, default=100)
+    p.add_argument("--multiplier", type=_POSITIVE, default=100)
     p.add_argument("--output", required=True)
 
     return parser
@@ -201,24 +228,25 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_extract(args) -> None:
+    if not (args.gazetteer or args.mentions):
+        raise UsageError("extract needs --gazetteer or --mentions")
+    specialized = _word_list(args.specialized) if args.specialized else ()
+    if args.level != "entity" and not specialized:
+        raise UsageError(f"--level {args.level} needs a non-empty --specialized list")
     hierarchy = _load_hierarchy(args.hierarchy)
     gazetteer = load_gazetteer(args.gazetteer, hierarchy) if args.gazetteer else None
     mentions = load_external_mentions(args.mentions) if args.mentions else None
-    specialized = _word_list(args.specialized) if args.specialized else ()
-    try:
-        groups = select_documents(
-            load_corpus(args.input, args.format),
-            args.level,
-            gazetteer,
-            SelectorConfig(args.min_mentions, args.min_specialized, args.upsample),
-            mentions=mentions,
-            specialized_types=specialized,
-            percent=args.percent,
-            seed=args.seed,
-            workers=_workers(args),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    groups = select_documents(
+        load_corpus(args.input, args.format),
+        args.level,
+        gazetteer,
+        SelectorConfig(args.min_mentions, args.min_specialized, args.upsample),
+        mentions=mentions,
+        specialized_types=specialized,
+        percent=args.percent,
+        seed=args.seed,
+        workers=_workers(args),
+    )
     with _output(args.output) as fh:
         sentences, tokens = write_groups(groups, fh)
     _log(f"wrote {sentences} sentences to {args.output}")
@@ -226,17 +254,7 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_mask(args) -> None:
-    try:
-        cfg = MaskingConfig(
-            mask_rate=args.rate,
-            strategy=args.strategy,
-            seed=args.seed,
-            min_sentence_len=args.min_len,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.vocab_size < 1:
-        raise UsageError("--vocab-size must be >= 1")
+    cfg = MaskingConfig(args.rate, args.strategy, args.seed, args.min_len)
     workers = _workers(args)
     # Each line holds its document's id, which starts with a plain file's stem.
     if args.format == "plain" and LONE_SURROGATE.search(Path(args.input).stem):
@@ -263,11 +281,6 @@ def _cmd_ner_stats(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    if args.misclassify:
-        try:
-            from_type, to_type = args.misclassify.split(",", 1)
-        except ValueError as exc:
-            raise UsageError("--misclassify expects FROM,TO") from exc
     report = score(parse_conll(args.gold), iter_conll(args.pred, strict=False))
     summary = {
         "precision": report.micro.precision,
@@ -275,6 +288,7 @@ def _cmd_eval(args) -> None:
         "f1": report.micro.f1,
     }
     if args.misclassify:
+        from_type, to_type = args.misclassify
         rate = misclassification_rate(report, from_type, to_type)
         key = (
             "correctly_classified_rate"
@@ -301,8 +315,6 @@ def _cmd_overlap(args) -> None:
             raise UsageError(f"--inputs repeats the name {name!r}")
         corpora[name] = corpus_tokens(load_corpus(path, args.format))
     stopwords = _word_list(args.stopwords) if args.stopwords else None
-    if args.top_k < 1:
-        raise UsageError("--top-k must be >= 1")
     matrix = vocab_overlap(corpora, args.top_k, stopwords)
     _emit(matrix.as_dict())
 
@@ -320,23 +332,30 @@ def _cmd_pre_annotate(args) -> None:
 
 
 def _cmd_subsample(args) -> None:
-    """Each kept sentence is written as the lines it was read from, then
-    one blank line."""
-    train = [s.lines for s in iter_conll(args.input)]
-    if not 0 <= args.n <= len(train):
-        raise UsageError(f"--n must be in [0, {len(train)}]")
+    """Hold only the --n sentences with the smallest (stable_hash(seed, "", i), i),
+    i being a sentence's ordinal, and write them in file order, each as the
+    lines it was read from, then one blank line."""
+    ordinals = count()
+    keyed = (  # iter_conll ends the zip, so next(ordinals) is then the count
+        (stable_hash(args.seed, "", i), i, s.lines)
+        for s, i in zip(iter_conll(args.input), ordinals)
+    )
+    kept = heapq.nsmallest(args.n, keyed)
+    for _ in keyed:  # --n 0 takes nothing, but every sentence is still read
+        pass
+    total = next(ordinals)
+    if args.n > total:
+        raise UsageError(f"--n must be in [0, {total}]")
     with _output(args.output) as fh:
-        for lines in subsample(train, args.n, args.seed):
+        for _, _, lines in sorted(kept, key=lambda k: k[1]):
             fh.write(lines + "\n")
-    _emit({"sampled": args.n, "from": len(train), "seed": args.seed})
+    _emit({"sampled": args.n, "from": total, "seed": args.seed})
 
 
 def _cmd_joint(args) -> None:
     """The source's sentences as they stream in, then the target's
     --multiplier times, each as its lines then one blank line. The target
     is read, and so checked, before any output is written."""
-    if args.multiplier < 1:
-        raise UsageError("--multiplier must be >= 1")
     target = [s.lines + "\n" for s in iter_conll(args.target)]
     source = 0
     with _output(args.output) as fh:

@@ -157,8 +157,6 @@ def vocab_overlap(
     vocabulary size (a corpus with fewer than k distinct words uses all
     of them).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     stop = frozenset(
         w.lower() for w in (DEFAULT_STOPWORDS if stopwords is None else stopwords)
     )

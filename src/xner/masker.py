@@ -19,32 +19,14 @@ from typing import Iterable, Iterator, Sequence
 from xner.corpus import Sentence
 from xner.seeding import stable_hash
 
-_STRATEGIES = ("token", "span")
 MASK_SYMBOL = "[MASK]"
+# The replacement split: [MASK] 0.8, a random vocabulary token 0.1, unchanged 0.1.
+MASK_TOKEN_PROB, RANDOM_TOKEN_PROB = 0.8, 0.1
 
-
-class MaskingConfig(namedtuple(
-    "MaskingConfig",
-    "mask_rate mask_token_prob random_token_prob keep_prob strategy seed min_sentence_len",
-)):
-    __slots__ = ()
-
-    def __new__(cls, mask_rate=0.15, mask_token_prob=0.80, random_token_prob=0.10,
-                keep_prob=0.10, strategy="token", seed=0, min_sentence_len=5):
-        self = super().__new__(cls, mask_rate, mask_token_prob, random_token_prob,
-                               keep_prob, strategy, seed, min_sentence_len)
-        if not 0 < self.mask_rate < 1:
-            raise ValueError(f"mask_rate must be in (0, 1), got {self.mask_rate}")
-        probs = (self.mask_token_prob, self.random_token_prob, self.keep_prob)
-        if not all(0 <= p <= 1 for p in probs):
-            raise ValueError(f"replacement probabilities must be in [0, 1], got {probs}")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"replacement probabilities must sum to 1, got {sum(probs)}")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
-        if self.min_sentence_len < 1:
-            raise ValueError("min_sentence_len must be positive")
-        return self
+# strategy is "token" or "span"; the CLI's parser checks every field.
+MaskingConfig = namedtuple(
+    "MaskingConfig", "mask_rate strategy seed min_sentence_len", defaults=(0.15, "token", 0, 5)
+)
 
 
 class MaskTarget(namedtuple("MaskTarget", "position original kind")):  # kind: mask | random | keep
@@ -125,7 +107,6 @@ def spanify(masked: Iterable[int], length: int) -> set[int]:
 def apply_replacements(
     tokens: Sequence[str],
     indices: Iterable[int],
-    cfg: MaskingConfig,
     rng: random.Random,
     vocabulary: Sequence[str],
     doc_id: str = "",
@@ -133,12 +114,10 @@ def apply_replacements(
 ) -> MaskedExample:
     """Materialize a masked example from a chosen index set.
 
-    Each selected position independently becomes the mask symbol, a
-    uniform vocabulary token, or its original text, per the configured
-    probabilities.
+    Each selected position independently becomes the mask symbol (an
+    rng.random() roll below MASK_TOKEN_PROB), a uniform vocabulary token
+    (below MASK_TOKEN_PROB + RANDOM_TOKEN_PROB) or its original text.
     """
-    if cfg.random_token_prob > 0 and not vocabulary:
-        raise ValueError("non-empty vocabulary required when random_token_prob > 0")
     positions = sorted(set(indices))
     if positions and (positions[0] < 0 or positions[-1] >= len(tokens)):
         bad = next(p for p in positions if not 0 <= p < len(tokens))
@@ -147,7 +126,7 @@ def apply_replacements(
     targets = []
     roll = rng.random
     make_target = MaskTarget._make
-    mask_below, random_below = cfg.mask_token_prob, cfg.mask_token_prob + cfg.random_token_prob
+    mask_below, random_below = MASK_TOKEN_PROB, MASK_TOKEN_PROB + RANDOM_TOKEN_PROB
     for position in positions:
         p = roll()
         if p < mask_below:
@@ -181,7 +160,7 @@ def mask_corpus(
         indices = select_mask_indices(len(tokens), cfg, rng)
         if cfg.strategy == "span":
             indices = spanify(indices, len(tokens))
-        yield apply_replacements(tokens, indices, cfg, rng, vocabulary, doc_id, index)
+        yield apply_replacements(tokens, indices, rng, vocabulary, doc_id, index)
 
 
 def build_vocabulary(token_texts: Iterable[str], size: int = 50_000) -> list[str]:

@@ -1,4 +1,4 @@
-"""Labeled NER dataset handling: CoNLL parsing, BIO validation, stats, sampling.
+"""Labeled NER dataset handling: CoNLL parsing, BIO validation and stats.
 
 Entity-type strings are taken verbatim from the tags; no normalization is
 applied, the on-disk label inventory is authoritative.
@@ -6,7 +6,6 @@ applied, the on-disk label inventory is authoritative.
 
 from __future__ import annotations
 
-import random
 from collections import Counter, namedtuple
 from itertools import chain
 from sys import intern
@@ -173,13 +172,3 @@ def dataset_stats(split: Iterable) -> SplitStats:
         t: (c, 100.0 * c / total if total else 0.0) for t, c in counts.items()
     }
     return SplitStats(sentences, per_type)
-
-
-def subsample(train: Sequence, n: int, seed: int) -> list:
-    """Uniform sample of n items without replacement, order preserved: the
-    sentences of a split, or their lines."""
-    if not 0 <= n <= len(train):
-        raise ValueError(f"sample size {n} out of range for {len(train)} sentences")
-    rng = random.Random(seed)
-    keep = sorted(rng.sample(range(len(train)), n))
-    return [train[i] for i in keep]

@@ -186,29 +186,20 @@ def select_documents(
 ) -> Iterator[list[str]]:
     """Selected sentence lines grouped by document, as a lazy stream.
 
-    The options, including the specialized types that "task" and
-    "integrated" need, are checked here, before any document is read. level
-    "entity" or "task" yields one group per document; "integrated" yields
-    the entity groups followed by the task groups repeated
-    cfg.task_upsample times, so token counts satisfy
+    The CLI checks the options: a gazetteer or mentions, a level of LEVELS,
+    specialized types for "task" and "integrated", and a percent in
+    [0, 100]. level "entity" or "task" yields one group per document;
+    "integrated" yields the entity groups followed by the task groups
+    repeated cfg.task_upsample times, so token counts satisfy
     tokens(integrated) = tokens(entity) + task_upsample * tokens(task).
     """
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}")
-    if gazetteer is None and mentions is None:
-        raise ValueError("selection requires a gazetteer or an external mention index")
-    specialized_types = frozenset(specialized_types)
-    if level != "entity" and not specialized_types:
-        raise ValueError("task-level selection requires a non-empty specialized type set")
-    if percent is not None and not 0 <= percent <= 100:
-        raise ValueError(f"percent must be in [0, 100], got {percent}")
     worker = partial(
         _select_doc,
         level=level,
         gazetteer=gazetteer,
         cfg=cfg,
         mentions=mentions,
-        specialized_types=specialized_types,
+        specialized_types=frozenset(specialized_types),
         percent=percent,
         seed=seed,
     )

@@ -22,15 +22,9 @@ from xner.seeding import unit_interval
 MentionIndex = Mapping[tuple[str, int], Mapping[EntityMention, str]]
 
 
-class SelectorConfig(namedtuple("SelectorConfig", "min_mentions min_specialized task_upsample")):
-    __slots__ = ()
-
-    def __new__(cls, min_mentions: int = 2, min_specialized: int = 1, task_upsample: int = 2):
-        self = super().__new__(cls, min_mentions, min_specialized, task_upsample)
-        for name, value in zip(self._fields, self):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        return self
+SelectorConfig = namedtuple(
+    "SelectorConfig", "min_mentions min_specialized task_upsample", defaults=(2, 1, 2)
+)
 
 
 def _sentence_mentions(
@@ -84,8 +78,6 @@ def sample_fraction(
     The decision is a pure function of (seed, doc_id, sentence_index), so
     the sample is identical across runs, workers and shard orders.
     """
-    if not 0 <= percent <= 100:
-        raise ValueError(f"percent must be in [0, 100], got {percent}")
     for sentence in corpus:
         if unit_interval(seed, sentence.doc_id, sentence.index) * 100.0 < percent:
             yield sentence

@@ -1,9 +1,11 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from xner.corpus import Sentence
+from xner.errors import UsageError
 from xner.nerdata import LabeledSentence
 
 
@@ -42,3 +44,56 @@ def reference_ranking(tokens, size: int) -> list[str]:
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+class FixedRoll:
+    """An rng for masker.apply_replacements whose random() always returns
+    roll: 0.0 masks, 0.85 draws a random token and 0.95 keeps. randrange
+    and getstate are those of random.Random(seed)."""
+
+    def __init__(self, roll, seed=0):
+        self.roll = roll
+        draws = random.Random(seed)
+        self.randrange, self.getstate = draws.randrange, draws.getstate
+
+    def random(self):
+        return self.roll
+
+
+# Each command's required flags, naming files that do not exist: a flag
+# value that the parser rejects is the only fault of such a command line.
+REQUIRED_ARGS = {
+    "stats": ["--input", "missing"],
+    "extract": ["--input", "missing", "--level", "entity", "--gazetteer", "missing",
+                "--output", "out"],
+    "mask": ["--input", "missing", "--output", "out"],
+    "eval": ["--gold", "missing", "--pred", "missing"],
+    "overlap": ["--inputs", "a=missing"],
+    "subsample": ["--input", "missing", "--output", "out"],
+    "joint": ["--source", "missing", "--target", "missing", "--output", "out"],
+}
+
+
+def bad_flag(command, flag, value):
+    """Parse command's required flags plus flag value, with the CLI's parser."""
+    from xner.cli import build_parser
+
+    return build_parser().parse_args([command, *REQUIRED_ARGS[command], flag, value])
+
+
+def assert_rejected(command, flag, value):
+    """bad_flag raises a UsageError that names flag."""
+    with pytest.raises(UsageError) as info:
+        bad_flag(command, flag, value)
+    assert str(info.value).startswith(f"argument {flag}: ")
+
+
+@pytest.fixture(autouse=True)
+def _forget_patched_pool_class():
+    """Undoing monkeypatch.setattr(pipelines, "ProcessPoolExecutor", ...)
+    leaves the real class set on the module, where it hides the module's
+    lazy __getattr__ from every later test; remove it after each test."""
+    yield
+    pipelines = sys.modules.get("xner.pipelines")
+    if pipelines is not None:
+        vars(pipelines).pop("ProcessPoolExecutor", None)

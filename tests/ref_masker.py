@@ -3,8 +3,8 @@ mask_corpus and the JSON encoding of a masked example.
 
 Used only as an oracle for the package's fast paths. spanify copies the
 set and ranks partners with a key function for every isolated index,
-apply_replacements range-checks each position and re-reads the
-configuration on every draw, mask_corpus builds a new
+apply_replacements range-checks each position and compares each roll
+with its own literal 0.8/0.9 thresholds, mask_corpus builds a new
 random.Random(stable_hash(seed, doc_id, sentence_index)) for every
 sentence, and an example is encoded by json.dumps of its record dict.
 Only the records and the mask symbol are shared with the package.
@@ -50,9 +50,7 @@ def spanify(masked, length):
     return current
 
 
-def apply_replacements(tokens, indices, cfg, rng, vocabulary, doc_id="", sentence_index=0):
-    if cfg.random_token_prob > 0 and not vocabulary:
-        raise ValueError("non-empty vocabulary required when random_token_prob > 0")
+def apply_replacements(tokens, indices, rng, vocabulary, doc_id="", sentence_index=0):
     output = list(tokens)
     targets = []
     for position in sorted(set(indices)):
@@ -60,10 +58,10 @@ def apply_replacements(tokens, indices, cfg, rng, vocabulary, doc_id="", sentenc
             raise ValueError(f"target position {position} out of range")
         original = tokens[position]
         roll = rng.random()
-        if roll < cfg.mask_token_prob:
+        if roll < 0.8:
             kind = "mask"
             output[position] = MASK_SYMBOL
-        elif roll < cfg.mask_token_prob + cfg.random_token_prob:
+        elif roll < 0.9:
             kind = "random"
             output[position] = vocabulary[rng.randrange(len(vocabulary))]
         else:
@@ -82,7 +80,7 @@ def mask_corpus(corpus, cfg, vocabulary):
         if cfg.strategy == "span":
             indices = spanify(indices, n)
         yield apply_replacements(
-            sentence.tokens, indices, cfg, rng, vocabulary, sentence.doc_id, sentence.index
+            sentence.tokens, indices, rng, vocabulary, sentence.doc_id, sentence.index
         )
 
 

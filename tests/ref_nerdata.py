@@ -8,9 +8,11 @@ It reads only sentence.tags.
 serialize_conll and build_joint are the writer and the joint builder that
 `subsample` and `joint` used before they wrote back the lines they read;
 on two-column, single-space input the commands must still give their
-bytes.
+bytes. subsample is the keyed sample that `subsample` takes with a
+bounded heap, done by sorting every ordinal.
 """
 
+from ref_seeding import stable_hash
 from xner.gazetteer import EntityMention
 
 
@@ -41,6 +43,13 @@ def serialize_conll(sentences, fh):
         for token, tag in zip(sentence.tokens, sentence.tags):
             fh.write(f"{token} {tag}\n")
         fh.write("\n")
+
+
+def subsample(train, n, seed):
+    """The n items with the smallest (stable_hash(seed, "", i), i), i being
+    an item's index, in their order in train."""
+    ranked = sorted(range(len(train)), key=lambda i: (stable_hash(seed, "", i), i))
+    return [train[i] for i in sorted(ranked[:n])]
 
 
 def build_joint(source, target, multiplier=100):

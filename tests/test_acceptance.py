@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_labeled, make_sentence
+from conftest import FixedRoll, make_labeled, make_sentence
 from test_evaluation import (
     assert_matches_conlleval,
     ill_formed_pred,
@@ -55,12 +55,8 @@ def test_01_span_migration_worked_example():
         migrated = spanify({4, 10}, 12)
         elapsed = time.perf_counter() - start
         assert migrated == {9, 10}
-        # render with mask probability 1 to pin the surface form
-        cfg = MaskingConfig(mask_token_prob=1.0, random_token_prob=0.0,
-                            keep_prob=0.0)
-        example = apply_replacements(
-            words, migrated, cfg, random.Random(0), ["x"]
-        )
+        # render with every roll a mask to pin the surface form
+        example = apply_replacements(words, migrated, FixedRoll(0.0), ["x"])
         assert example.output_tokens[8:12] == ("the", "[MASK]", "[MASK]", "sphere")
         assert elapsed < 0.001
 
@@ -87,11 +83,10 @@ def test_02_masking_invariants_property_suite():
 
 def test_03_replacement_proportions():
     with criterion(3, "mask/random/keep frequencies within 0.01 of 80/10/10"):
-        cfg = MaskingConfig()
         tokens = [f"w{i}" for i in range(120_000)]
         start = time.perf_counter()
         example = apply_replacements(
-            tokens, range(len(tokens)), cfg, random.Random(99), ["a", "b", "c"]
+            tokens, range(len(tokens)), random.Random(99), ["a", "b", "c"]
         )
         elapsed = time.perf_counter() - start
         counts = {"mask": 0, "random": 0, "keep": 0}

@@ -2,7 +2,6 @@ import io
 import json
 import multiprocessing
 import os
-import random
 import shlex
 import stat
 import subprocess
@@ -15,11 +14,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import REQUIRED_ARGS
 from ref_conlleval import evaluate as ref_evaluate
-from ref_nerdata import build_joint, serialize_conll
+from ref_nerdata import build_joint, serialize_conll, subsample
 from xner import pipelines
 from xner.cli import run
-from xner.nerdata import dataset_stats, parse_conll, subsample
+from xner.nerdata import dataset_stats, parse_conll
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -71,6 +71,37 @@ def hierarchy_file(tmp_path):
     path = tmp_path / "h.tsv"
     path.write_text("musicalartist\tperson\n")
     return path
+
+
+# The values that each checked flag rejects.
+BAD_FLAG_VALUES = [
+    ("stats", "--workers", ["0", "-1", "nan", "x"]),
+    ("extract", "--min-mentions", ["0", "-1", "nan", "x"]),
+    ("extract", "--min-specialized", ["0", "-1", "nan", "x"]),
+    ("extract", "--upsample", ["0", "-1", "nan", "x"]),
+    ("extract", "--percent", ["-1", "100.5", "nan", "inf", "x"]),
+    ("mask", "--rate", ["0", "1", "-1", "nan", "inf", "-inf", "x"]),
+    ("mask", "--min-len", ["0", "-1", "nan", "x"]),
+    ("mask", "--vocab-size", ["0", "-1", "nan", "x"]),
+    ("overlap", "--top-k", ["0", "-1", "nan", "x"]),
+    ("subsample", "--n", ["-1", "nan", "x"]),
+    ("joint", "--multiplier", ["0", "-1", "nan", "x"]),
+    ("eval", "--misclassify", ["PER,", ",PER", ",", "PER"]),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(command, flag, value, id=f"{command} {flag} {value}")
+    for command, flag, values in BAD_FLAG_VALUES
+    for value in values
+])
+def test_bad_flag_value_is_usage_error(capsys, monkeypatch, tmp_path, command, flag, value):
+    # Every input is missing, so the value is checked before any file is read.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, *REQUIRED_ARGS[command], flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"xner: usage error: argument {flag}: ")
+    assert os.listdir(tmp_path) == []
 
 
 class TestStats:
@@ -177,7 +208,8 @@ class TestExtract:
             "--gazetteer", str(gazetteer_file),
             "--output", str(tmp_path / "o.txt"), "--workers", "1",
         )
-        assert code != 0
+        assert code == 1
+        assert err == "xner: usage error: --level task needs a non-empty --specialized list\n"
 
     def test_external_mentions_route(self, capsys, tmp_path, music_corpus):
         mentions = tmp_path / "m.jsonl"
@@ -466,7 +498,7 @@ class TestMask:
         )
         assert code == 1
         assert out == ""
-        assert err == "xner: usage error: --vocab-size must be >= 1\n"
+        assert err == f"xner: usage error: argument --vocab-size: must be >= 1, got '{size}'\n"
         assert not (tmp_path / "m.jsonl").exists()
 
     def test_piped_input_is_data_error(self, tmp_path):
@@ -645,7 +677,10 @@ class TestEval:
             capsys, "eval", "--gold", missing, "--pred", missing, "--misclassify", "A",
         )
         assert (code, out) == (1, "")
-        assert err == "xner: usage error: --misclassify expects FROM,TO\n"
+        assert err == (
+            "xner: usage error: argument --misclassify: "
+            "must be FROM,TO with both types given, got 'A'\n"
+        )
 
         def parse_conll(path):
             raise AssertionError(f"read {path} before the usage error")
@@ -656,7 +691,10 @@ class TestEval:
             capsys, "eval", "--gold", gold, "--pred", gold, "--misclassify", "A",
         )
         assert (code, out) == (1, "")
-        assert err == "xner: usage error: --misclassify expects FROM,TO\n"
+        assert err == (
+            "xner: usage error: argument --misclassify: "
+            "must be FROM,TO with both types given, got 'A'\n"
+        )
 
     def test_full_report_bytes(self, capsys, tmp_path):
         # eval_report.json was written by the frozen-dataclass records, so a
@@ -774,7 +812,7 @@ class TestNerStatsSubsampleJoint:
             "--multiplier", multiplier, "--output", str(tmp_path / "joint.conll"),
         )
         assert (code, out) == (1, "")
-        assert err == "xner: usage error: --multiplier must be >= 1\n"
+        assert err == f"xner: usage error: argument --multiplier: must be >= 1, got '{multiplier}'\n"
         assert not (tmp_path / "joint.conll").exists()
 
     def test_subsample_keeps_every_column(self, capsys, tmp_path):
@@ -953,8 +991,7 @@ class TestLosslessWriters:
                 assert code == 0
                 # Each written sentence is, byte for byte, one the generator made.
                 written = _written_sentences(Path(out).read_bytes().decode())
-                keep = sorted(random.Random(seed).sample(range(len(source)), n))
-                assert written == [source[i] for i in keep]
+                assert written == subsample(source, n, seed)
                 os.unlink(out)
 
             code, _ = _run_quiet([

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_labeled, random_bio_tags, reference_ranking
+from conftest import assert_rejected, make_labeled, random_bio_tags, reference_ranking
 from ref_conlleval import evaluate as ref_evaluate
 from ref_nerdata import extract_entities, serialize_conll
 from xner.errors import DataError
@@ -274,8 +274,8 @@ class TestVocabOverlap:
         assert matrix.values[0][1] == 50.0
 
     def test_k_validation(self):
-        with pytest.raises(ValueError):
-            vocab_overlap({"a": ["x"]}, k=0)
+        # vocab_overlap trusts k: the parser checks --top-k.
+        assert_rejected("overlap", "--top-k", "0")
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ref_masker
-from conftest import make_sentence, reference_ranking
+from conftest import FixedRoll, assert_rejected, make_sentence, reference_ranking
 from xner.corpus import Sentence
 from xner.seeding import stable_hash
 from xner.masker import (
     MASK_SYMBOL,
+    MASK_TOKEN_PROB,
+    RANDOM_TOKEN_PROB,
     MaskedExample,
     MaskingConfig,
     MaskTarget,
@@ -95,30 +97,19 @@ class TestMaskBudget:
 
 
 class TestMaskingConfig:
+    """MaskingConfig is a plain named tuple; the parser checks its flags."""
+
     def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            MaskingConfig(mask_token_prob=0.9, random_token_prob=0.2, keep_prob=0.1)
+        # The split is fixed: [MASK], a random token, and the rest kept.
+        assert (MASK_TOKEN_PROB, RANDOM_TOKEN_PROB) == (0.8, 0.1)
+        assert 1 - MASK_TOKEN_PROB - RANDOM_TOKEN_PROB == pytest.approx(0.1)
 
     def test_rate_bounds(self):
-        with pytest.raises(ValueError):
-            MaskingConfig(mask_rate=0.0)
-        with pytest.raises(ValueError):
-            MaskingConfig(mask_rate=1.0)
+        for rate in ("0", "1"):
+            assert_rejected("mask", "--rate", rate)
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            MaskingConfig(strategy="word")
-
-    @pytest.mark.parametrize("probs", [
-        (1.2, -0.1, -0.1),  # sums to 1
-        (-0.5, 1.0, 0.5),  # sums to 1
-        (0.0, 0.0, 1.0 + 1e-6),
-        (float("nan"), 0.5, 0.5),  # every comparison with NaN is false
-    ])
-    def test_probability_out_of_unit_interval_rejected(self, probs):
-        mask, rand, keep = probs
-        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
-            MaskingConfig(mask_token_prob=mask, random_token_prob=rand, keep_prob=keep)
+        assert_rejected("mask", "--strategy", "word")
 
 
 # Non-empty, whitespace-free text with the characters a JSON encoder escapes
@@ -132,13 +123,8 @@ TEXT = st.one_of(
     ).filter(lambda t: t.split() == [t]),
 )
 KINDS = ("mask", "random", "keep")
-CONFIGS = st.sampled_from([
-    MaskingConfig(),
-    MaskingConfig(mask_token_prob=1.0, random_token_prob=0.0, keep_prob=0.0),
-    MaskingConfig(mask_token_prob=0.0, random_token_prob=1.0, keep_prob=0.0),
-    MaskingConfig(mask_token_prob=0.0, random_token_prob=0.0, keep_prob=1.0),
-    MaskingConfig(mask_token_prob=0.5, random_token_prob=0.25, keep_prob=0.25),
-])
+# A FixedRoll's roll (mask, random, keep), or None for a real random.Random.
+ROLLS = st.sampled_from([None, 0.0, 0.85, 0.95])
 
 
 class TestSpanify:
@@ -206,44 +192,33 @@ class TestApplyReplacements:
         return [f"w{i}" for i in range(n)]
 
     def test_all_mask_probability(self):
-        cfg = MaskingConfig(mask_token_prob=1.0, random_token_prob=0.0, keep_prob=0.0)
-        example = apply_replacements(
-            self._tokens(6), {1, 3}, cfg, random.Random(0), ["v"]
-        )
+        example = apply_replacements(self._tokens(6), {1, 3}, FixedRoll(0.0), ["v"])
         assert example.output_tokens[1] == "[MASK]"
         assert example.output_tokens[3] == "[MASK]"
         assert all(t.kind == "mask" for t in example.targets)
 
     def test_empty_indices(self):
-        example = apply_replacements(
-            self._tokens(4), set(), MaskingConfig(), random.Random(0), ["v"]
-        )
+        example = apply_replacements(self._tokens(4), set(), random.Random(0), ["v"])
         assert example.output_tokens == ("w0", "w1", "w2", "w3")
         assert example.targets == ()
 
     def test_keep_preserves_original(self):
-        cfg = MaskingConfig(mask_token_prob=0.0, random_token_prob=0.0, keep_prob=1.0)
-        example = apply_replacements(
-            self._tokens(4), {0, 2}, cfg, random.Random(0), ["v"]
-        )
+        example = apply_replacements(self._tokens(4), {0, 2}, FixedRoll(0.95), ["v"])
         assert example.output_tokens == ("w0", "w1", "w2", "w3")
         assert all(t.kind == "keep" for t in example.targets)
 
     def test_random_draws_from_vocabulary(self):
-        cfg = MaskingConfig(mask_token_prob=0.0, random_token_prob=1.0, keep_prob=0.0)
-        example = apply_replacements(
-            self._tokens(4), {1}, cfg, random.Random(0), ["only"]
-        )
+        example = apply_replacements(self._tokens(4), {1}, FixedRoll(0.85), ["only"])
         assert example.output_tokens[1] == "only"
         assert example.targets[0].kind == "random"
 
     def test_empty_vocabulary_rejected(self):
+        # The first random replacement fails; the CLI's vocabulary is never empty.
         with pytest.raises(ValueError):
-            apply_replacements(self._tokens(4), {1}, MaskingConfig(), random.Random(0), [])
+            apply_replacements(self._tokens(4), {1}, FixedRoll(0.85), [])
 
     def test_targets_record_original_text(self):
-        cfg = MaskingConfig(mask_token_prob=1.0, random_token_prob=0.0, keep_prob=0.0)
-        example = apply_replacements(self._tokens(5), {2}, cfg, random.Random(0), ["v"])
+        example = apply_replacements(self._tokens(5), {2}, FixedRoll(0.0), ["v"])
         assert example.targets == (MaskTarget(2, "w2", "mask"),)
 
     @given(st.data())
@@ -251,31 +226,32 @@ class TestApplyReplacements:
     def test_matches_reference(self, data):
         tokens = data.draw(st.lists(TEXT, min_size=1, max_size=20))
         indices = data.draw(st.sets(st.integers(-1, len(tokens)), max_size=len(tokens) + 2))
-        cfg = data.draw(CONFIGS)
+        roll = data.draw(ROLLS)
         vocabulary = data.draw(st.lists(TEXT, max_size=3))
         seed = data.draw(st.integers(0, 2**32))
-        rng, ref_rng = random.Random(seed), random.Random(seed)
+        rng, ref_rng = (
+            random.Random(seed) if roll is None else FixedRoll(roll, seed) for _ in range(2)
+        )
         try:
             expected = ref_masker.apply_replacements(
-                tokens, indices, cfg, ref_rng, vocabulary, "doc", 7
+                tokens, indices, ref_rng, vocabulary, "doc", 7
             )
         except ValueError:
             with pytest.raises(ValueError):
-                apply_replacements(tokens, indices, cfg, rng, vocabulary, "doc", 7)
+                apply_replacements(tokens, indices, rng, vocabulary, "doc", 7)
         else:
-            example = apply_replacements(tokens, indices, cfg, rng, vocabulary, "doc", 7)
+            example = apply_replacements(tokens, indices, rng, vocabulary, "doc", 7)
             assert example == expected
             assert type(example) is MaskedExample
             assert rng.getstate() == ref_rng.getstate()
 
     def test_proportions_match_configuration(self):
-        cfg = MaskingConfig()
         rng = random.Random(99)
         tokens = self._tokens(10)
         counts = {"mask": 0, "random": 0, "keep": 0}
         total = 0
         for _ in range(20_000):
-            example = apply_replacements(tokens, {0, 4, 9}, cfg, rng, ["a", "b"])
+            example = apply_replacements(tokens, {0, 4, 9}, rng, ["a", "b"])
             for target in example.targets:
                 counts[target.kind] += 1
                 total += 1
@@ -342,10 +318,8 @@ class TestMaskCorpus:
                      tuple(data.draw(st.lists(TEXT, min_size=n, max_size=n))))
             for index, n in enumerate(lengths)
         ]
-        probs = data.draw(CONFIGS)
         cfg = MaskingConfig(
             data.draw(st.floats(0.01, 0.99)),
-            probs.mask_token_prob, probs.random_token_prob, probs.keep_prob,
             strategy=data.draw(st.sampled_from(["token", "span"])),
             seed=data.draw(st.integers(0, 2**64)),
             min_sentence_len=data.draw(st.integers(1, 8)),
@@ -364,16 +338,17 @@ class TestMaskCorpus:
         assert len(sentence) == 12
         cfg = None
         for seed in range(10_000):
-            candidate = MaskingConfig(seed=seed, strategy="span",
-                                      mask_token_prob=1.0, random_token_prob=0.0,
-                                      keep_prob=0.0)
+            candidate = MaskingConfig(seed=seed, strategy="span")
             rng = random.Random(stable_hash(seed, sentence.doc_id, sentence.index))
             if select_mask_indices(12, candidate, rng) == {4, 10}:
                 cfg = candidate
                 break
         assert cfg is not None, "no seed produced the worked example's mask set"
         (example,) = mask_corpus([sentence], cfg, ["v"])
-        assert {t.position for t in example.targets} == {9, 10}
+        positions = {t.position for t in example.targets}
+        assert positions == {9, 10}
+        # rendered with every roll a mask, to pin the surface form
+        example = apply_replacements(sentence.tokens, positions, FixedRoll(0.0), ["v"])
         assert example.output_tokens == (
             "Western", "music's", "effect", "would", "continue", "to",
             "grow", "within", "the", "[MASK]", "[MASK]", "sphere",

@@ -6,19 +6,19 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_labeled, random_bio_tags
+import ref_nerdata
+from conftest import assert_rejected, make_labeled, random_bio_tags
 from ref_conlleval import is_chunk_end, is_chunk_start, split_tag
 from ref_nerdata import build_joint, extract_entities, serialize_conll
 from xner import nerdata
-from xner.cli import _cmd_joint
-from xner.errors import DataError, UsageError
+from xner.cli import run
+from xner.errors import DataError
 from xner.gazetteer import mentions_to_bio
 from xner.nerdata import (
     dataset_stats,
     entity_spans,
     iter_conll,
     parse_conll,
-    subsample,
     validate_bio,
 )
 
@@ -371,30 +371,46 @@ class TestDatasetStats:
 
 
 class TestSubsample:
-    def _train(self, n=100):
-        return [make_labeled(f"w{i}", ["O"]) for i in range(n)]
+    """xner subsample keeps the --n sentences with the smallest
+    (stable_hash(seed, "", i), i), i being a sentence's ordinal."""
 
-    def test_full_sample_is_identity(self):
-        train = self._train(20)
-        assert subsample(train, 20, seed=0) == train
+    @staticmethod
+    def _subsample(tmp_path, count, n, seed):
+        """Exit code and the ordinals written, for --n n of count sentences."""
+        train, out = tmp_path / "train.conll", tmp_path / "few.conll"
+        train.write_text("".join(f"w{i} O\n\n" for i in range(count)))
+        code = run([
+            "subsample", "--input", str(train), "--n", str(n), "--seed", str(seed),
+            "--output", str(out),
+        ])
+        if code:
+            return code, None
+        return code, [int(line[1:].split()[0]) for line in out.read_text().split("\n\n")[:-1]]
 
-    def test_empty_sample(self):
-        assert subsample(self._train(10), 0, seed=0) == []
+    def test_full_sample_is_identity(self, tmp_path):
+        assert self._subsample(tmp_path, 20, 20, 0) == (0, list(range(20)))
 
-    def test_deterministic_per_seed(self):
-        train = self._train(100)
-        assert subsample(train, 10, seed=5) == subsample(train, 10, seed=5)
-        assert subsample(train, 10, seed=5) != subsample(train, 10, seed=6)
+    def test_empty_sample(self, tmp_path, capsys):
+        assert self._subsample(tmp_path, 10, 0, 0) == (0, [])
+        assert '"from": 10' in capsys.readouterr().out  # every sentence is still read
 
-    def test_order_preserved(self):
-        train = self._train(100)
-        sample = subsample(train, 30, seed=1)
-        indices = [train.index(s) for s in sample]
-        assert indices == sorted(indices)
+    def test_deterministic_per_seed(self, tmp_path):
+        _, five = self._subsample(tmp_path, 100, 10, 5)
+        assert self._subsample(tmp_path, 100, 10, 5) == (0, five)
+        assert self._subsample(tmp_path, 100, 10, 6) != (0, five)
+        for n in (1, 10, 99):
+            assert self._subsample(tmp_path, 100, n, 5) == (
+                0, ref_nerdata.subsample(range(100), n, 5)
+            )
 
-    def test_oversized_sample_rejected(self):
-        with pytest.raises(ValueError):
-            subsample(self._train(5), 6, seed=0)
+    def test_order_preserved(self, tmp_path):
+        _, ordinals = self._subsample(tmp_path, 100, 30, 1)
+        assert len(ordinals) == 30
+        assert ordinals == sorted(ordinals)
+
+    def test_oversized_sample_rejected(self, tmp_path):
+        assert self._subsample(tmp_path, 5, 6, 0) == (1, None)
+        assert not (tmp_path / "few.conll").exists()
 
 
 class TestBuildJoint:
@@ -419,12 +435,6 @@ class TestBuildJoint:
         joint = build_joint(source, target, 3)
         assert all(s in source or s in target for s in joint)
 
-    def test_multiplier_validation(self, tmp_path):
-        # The joint command checks --multiplier before it opens any file.
-        args = SimpleNamespace(
-            source=str(tmp_path / "missing.conll"), target=str(tmp_path / "missing.conll"),
-            multiplier=0, output=str(tmp_path / "joint.conll"),
-        )
-        with pytest.raises(UsageError, match="--multiplier must be >= 1"):
-            _cmd_joint(args)
-        assert not (tmp_path / "joint.conll").exists()
+    def test_multiplier_validation(self):
+        # The parser checks --multiplier, so joint opens no file.
+        assert_rejected("joint", "--multiplier", "0")

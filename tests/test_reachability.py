@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import xner
-from xner import cli, pipelines
+from xner import cli
 
 SRC = Path(xner.__file__).resolve().parent
 POOL_ONLY = {("pipelines.py", "_set_pool_worker"), ("pipelines.py", "_call_pool_worker")}
@@ -102,10 +102,6 @@ def test_every_function_is_entered_by_a_cli_call(tmp_path, capsys, monkeypatch):
         (1, ["stats"]),  # a usage error: --input is required
     ]
     monkeypatch.setattr(sys, "argv", ["xner", "ner-stats", "--input", str(gold)])
-    # Undoing a patched pool class leaves it set as a module attribute, which
-    # hides the module's lazy __getattr__; remove it for this test.
-    if "ProcessPoolExecutor" in vars(pipelines):
-        monkeypatch.delattr(pipelines, "ProcessPoolExecutor")
     entered = set()
 
     def profile(frame, event, arg):

@@ -1,12 +1,12 @@
-"""Records are named tuples: the validated ones reject bad fields, and
-the ones a process pool ships survive pickling."""
+"""Records are named tuples: LabeledSentence rejects bad fields, the
+CLI's parser rejects the flag values of the others, and the ones a
+process pool ships survive pickling."""
 
 import pickle
-from types import SimpleNamespace
 
 import pytest
 
-from xner.cli import _cmd_joint
+from conftest import bad_flag
 from xner.corpus import Document, Sentence
 from xner.masker import MaskedExample, MaskingConfig, MaskTarget
 from xner.nerdata import LabeledSentence
@@ -18,32 +18,25 @@ def _example(*positions):
     return MaskedExample("d", 0, ("w",) * 4, targets)
 
 
+def _flag(*argv):
+    return lambda: bad_flag(*argv)
+
+
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: MaskingConfig(mask_rate=0.0), id="config-rate-0"),
-    pytest.param(lambda: MaskingConfig(mask_rate=1.0), id="config-rate-1"),
-    pytest.param(
-        lambda: MaskingConfig(mask_token_prob=1.5, random_token_prob=-0.25, keep_prob=-0.25),
-        id="config-prob-out-of-range",
-    ),
-    pytest.param(
-        lambda: MaskingConfig(mask_token_prob=0.7, random_token_prob=0.1, keep_prob=0.1),
-        id="config-probs-sum-below-1",
-    ),
-    pytest.param(lambda: MaskingConfig(strategy="word"), id="config-strategy"),
-    pytest.param(lambda: MaskingConfig(min_sentence_len=0), id="config-min-len"),
+    # MaskingConfig, SelectorConfig and joint's multiplier are checked as
+    # flags, so the records themselves check nothing.
+    pytest.param(_flag("mask", "--rate", "0"), id="config-rate-0"),
+    pytest.param(_flag("mask", "--rate", "1"), id="config-rate-1"),
+    pytest.param(_flag("mask", "--strategy", "word"), id="config-strategy"),
+    pytest.param(_flag("mask", "--min-len", "0"), id="config-min-len"),
     pytest.param(lambda: LabeledSentence(("a", "b"), ("O",)), id="labeled-tag-count"),
     pytest.param(lambda: LabeledSentence(("a",), ("I-x",)), id="labeled-i-after-start"),
     pytest.param(lambda: LabeledSentence(("a",), ("B-",)), id="labeled-empty-type"),
     pytest.param(lambda: LabeledSentence(("a",), ("X",)), id="labeled-malformed-tag"),
-    pytest.param(lambda: SelectorConfig(min_mentions=0), id="selector-min-mentions"),
-    pytest.param(lambda: SelectorConfig(min_specialized=0), id="selector-min-specialized"),
-    pytest.param(lambda: SelectorConfig(task_upsample=0), id="selector-task-upsample"),
-    pytest.param(
-        lambda: _cmd_joint(SimpleNamespace(
-            source="missing.conll", target="missing.conll", multiplier=0, output="-",
-        )),
-        id="joint-multiplier",
-    ),
+    pytest.param(_flag("extract", "--min-mentions", "0"), id="selector-min-mentions"),
+    pytest.param(_flag("extract", "--min-specialized", "0"), id="selector-min-specialized"),
+    pytest.param(_flag("extract", "--upsample", "0"), id="selector-task-upsample"),
+    pytest.param(_flag("joint", "--multiplier", "0"), id="joint-multiplier"),
 ])
 def test_validated_records_reject_bad_input(build):
     with pytest.raises(ValueError):
@@ -51,11 +44,8 @@ def test_validated_records_reject_bad_input(build):
 
 
 def test_fields_and_defaults():
-    assert MaskingConfig._fields == (
-        "mask_rate", "mask_token_prob", "random_token_prob", "keep_prob",
-        "strategy", "seed", "min_sentence_len",
-    )
-    assert MaskingConfig() == (0.15, 0.80, 0.10, 0.10, "token", 0, 5)
+    assert MaskingConfig._fields == ("mask_rate", "strategy", "seed", "min_sentence_len")
+    assert MaskingConfig() == (0.15, "token", 0, 5)
     assert MaskingConfig(strategy="span", seed=3).seed == 3
     assert SelectorConfig() == (2, 1, 2)
     assert _example(0, 2).targets[1] == MaskTarget(2, "w", "keep")

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import make_sentence
+from conftest import assert_rejected, make_sentence
+from xner.cli import run
 from xner.corpus import Document
 from xner.errors import DataError
 from xner.gazetteer import Gazetteer
@@ -35,11 +36,12 @@ class TestSelectorConfig:
         assert (cfg.min_mentions, cfg.min_specialized, cfg.task_upsample) == (2, 1, 2)
 
     @pytest.mark.parametrize("kwargs", [
-        {"min_mentions": 0}, {"min_specialized": 0}, {"task_upsample": 0},
+        {"--min-mentions": "0"}, {"--min-specialized": "0"}, {"--upsample": "0"},
     ])
     def test_rejects_below_one(self, kwargs):
-        with pytest.raises(ValueError):
-            SelectorConfig(**kwargs)
+        # A plain named tuple: the parser checks the flag of each field.
+        ((flag, value),) = kwargs.items()
+        assert_rejected("extract", flag, value)
 
 
 class TestEntityLevel:
@@ -195,12 +197,17 @@ class TestTaskLevel:
         assert list(select_task_level([s], gazetteer(), SPECIALIZED)) == [s]
         assert list(select_entity_level([s], gazetteer())) == []
 
-    def test_empty_specialized_types_is_error(self):
-        # Checked once, by select_documents, before any document is read.
-        g = Gazetteer({("Nirvana",): {"band"}})
+    def test_empty_specialized_types_is_error(self, capsys, tmp_path):
+        # Checked once, by the extract command, before any document is read.
+        (tmp_path / "g.tsv").write_text("Nirvana\tband\n")
+        (tmp_path / "s.txt").write_text("\n")
         for level in ("task", "integrated"):
-            with pytest.raises(ValueError, match="specialized"):
-                select_documents(iter(()), level, g)
+            assert run([
+                "extract", "--level", level, "--input", str(tmp_path / "missing"),
+                "--gazetteer", str(tmp_path / "g.tsv"), "--specialized", str(tmp_path / "s.txt"),
+                "--output", str(tmp_path / "out"),
+            ]) == 1
+            assert "non-empty --specialized" in capsys.readouterr().err
 
 
 class TestBuildIntegrated:
@@ -290,7 +297,6 @@ class TestSampleFraction:
         assert a != b
 
     def test_out_of_range_percent(self):
-        with pytest.raises(ValueError):
-            list(sample_fraction(self._corpus(10), 101, seed=0))
-        with pytest.raises(ValueError):
-            list(sample_fraction(self._corpus(10), -1, seed=0))
+        # sample_fraction trusts percent: the parser checks --percent.
+        for percent in ("101", "-1", "nan"):
+            assert_rejected("extract", "--percent", percent)
