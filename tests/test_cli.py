@@ -410,6 +410,55 @@ class TestExtract:
         assert all(line in remaining for line in lines)  # an in-order subsequence
 
 
+def _extract_args(level):
+    return ["extract", "--level", level, "--specialized", str(DATA_DIR / "extract_specialized.txt")]
+
+
+_GAZETTEER_ARGS = [
+    "--gazetteer", str(DATA_DIR / "extract_gazetteer.tsv"),
+    "--hierarchy", str(DATA_DIR / "extract_hierarchy.tsv"),
+]
+
+# Each golden output of extract_corpus.txt: the command line that writes it
+# and its summary. The gazetteer has surfaces with two types, some under the
+# hierarchy (Kurt Cobain: person and musicalartist) and some incomparable
+# (Europe: location and continent), entries that others extend (Kid, Kid A,
+# Kid A Mnesia) and a repeated row.
+GAZETTEER_GOLDENS = {
+    f"{level}.txt": (
+        [*_extract_args(level), *_GAZETTEER_ARGS, "--percent", "75", "--seed", "3"],
+        {"level": level, "sentences": sentences, "tokens": tokens},
+    )
+    for level, sentences, tokens in [
+        ("entity", 12, 100), ("task", 10, 81), ("integrated", 32, 262)
+    ]
+} | {
+    "mentions.txt": (
+        [*_extract_args("integrated"), "--mentions", str(DATA_DIR / "extract_mentions.jsonl")],
+        {"level": "integrated", "sentences": 10, "tokens": 68},
+    ),
+    "pre_annotate.conll": (
+        ["pre-annotate", *_GAZETTEER_ARGS], {"sentences": 22, "review_flags": 0}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GAZETTEER_GOLDENS)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_gazetteer_golden_bytes(capsys, tmp_path, name, workers):
+    # The expected files were written by the version whose gazetteer was a
+    # Gazetteer object over a TypeHierarchy.
+    argv, summary = GAZETTEER_GOLDENS[name]
+    out_path = tmp_path / "out"
+    code, out, _ = run_cli(
+        capsys, *argv, "--input", str(DATA_DIR / "extract_corpus.txt"),
+        "--output", str(out_path), "--workers", workers,
+    )
+    assert code == 0
+    assert json.loads(out) == summary
+    assert out_path.read_bytes() == (DATA_DIR / f"extract_corpus.{name}").read_bytes()
+
+
 class TestMask:
     def test_mask_summary_and_output(self, capsys, tmp_path, music_corpus):
         out_path = tmp_path / "m.jsonl"
