@@ -25,7 +25,7 @@ from pathlib import Path
 from xner.corpus import LONE_SURROGATE, corpus_tokens, load_corpus
 from xner.errors import DataError, UsageError, WorkerError, data_lines
 from xner.evaluation import misclassification_rate, score, vocab_overlap
-from xner.gazetteer import TypeHierarchy, load_gazetteer
+from xner.gazetteer import load_gazetteer, load_hierarchy
 from xner.masker import MaskingConfig, build_vocabulary
 from xner.nerdata import dataset_stats, iter_conll, parse_conll
 from xner.pipelines import (
@@ -198,28 +198,20 @@ def _is_stdout_file(path) -> bool:
 
 
 def _workers(args) -> int:
-    n = args.workers
-    if n is None:
-        env = os.environ.get("XNER_WORKERS")
-        if env and not env.strip().isdecimal():
+    if args.workers is not None:  # the parser makes it >= 1
+        return args.workers
+    env = os.environ.get("XNER_WORKERS")
+    if env:
+        if not (env.strip().isdecimal() and int(env) >= 1):
             raise UsageError(f"XNER_WORKERS must be a positive integer, got {env!r}")
-        if env:
-            n = int(env)
-        elif hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-            n = len(os.sched_getaffinity(0))
-        else:
-            n = os.cpu_count() or 1
-    if n < 1:
-        raise UsageError("--workers and XNER_WORKERS must be >= 1")
-    return n
+        return int(env)
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _word_list(path) -> list[str]:
     return [line.strip() for _, line in data_lines(path)]
-
-
-def _load_hierarchy(path) -> TypeHierarchy | None:
-    return TypeHierarchy.load(path) if path else None
 
 
 def _cmd_stats(args) -> None:
@@ -233,8 +225,8 @@ def _cmd_extract(args) -> None:
     specialized = _word_list(args.specialized) if args.specialized else ()
     if args.level != "entity" and not specialized:
         raise UsageError(f"--level {args.level} needs a non-empty --specialized list")
-    hierarchy = _load_hierarchy(args.hierarchy)
-    gazetteer = load_gazetteer(args.gazetteer, hierarchy) if args.gazetteer else None
+    parent_of = load_hierarchy(args.hierarchy) if args.hierarchy else {}
+    gazetteer = load_gazetteer(args.gazetteer, parent_of) if args.gazetteer else None
     mentions = load_external_mentions(args.mentions) if args.mentions else None
     groups = select_documents(
         load_corpus(args.input, args.format),
@@ -320,7 +312,8 @@ def _cmd_overlap(args) -> None:
 
 
 def _cmd_pre_annotate(args) -> None:
-    gazetteer = load_gazetteer(args.gazetteer, hierarchy=_load_hierarchy(args.hierarchy))
+    parent_of = load_hierarchy(args.hierarchy) if args.hierarchy else {}
+    gazetteer = load_gazetteer(args.gazetteer, parent_of)
     workers = _workers(args)
     with _output(args.output) as fh:
         sentences = write_pre_annotated(

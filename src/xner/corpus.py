@@ -38,18 +38,9 @@ _TERMINAL_RUN = re.compile("[.!?]+")
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-class Sentence(namedtuple("Sentence", "doc_id index tokens")):
-    """A tokenized sentence, addressable as (doc_id, index) within a corpus;
-    split_text makes its tokens non-empty and whitespace-free, unchecked."""
-
-    __slots__ = ()
-    _make = classmethod(tuple.__new__)  # the base's _make checks len(), the token count
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def text(self) -> str:
-        return " ".join(self.tokens)
+# A tokenized sentence, addressable as (doc_id, index) within a corpus;
+# split_text makes its tokens non-empty and whitespace-free, unchecked.
+Sentence = namedtuple("Sentence", "doc_id index tokens")
 
 
 class Document(NamedTuple):
@@ -175,9 +166,8 @@ def _sentence_tokens(document: Document) -> list[list[str]]:
 
 def segment(document: Document) -> list[Sentence]:
     """Segment a document into tokenized sentences with dense indices."""
-    make = Sentence._make
     return [
-        make((document.id, index, tuple(tokens)))
+        Sentence(document.id, index, tuple(tokens))
         for index, tokens in enumerate(_sentence_tokens(document))
     ]
 
@@ -202,13 +192,10 @@ def load_corpus(path, format: str = "plain") -> Iterator[Document]:
     plain: one paragraph per line, blank line starts a new document.
     jsonl: one JSON record per line with string keys id and text
     (paragraphs separated by newlines inside text); other keys are ignored.
+    The CLI's parser limits format to these two.
     """
     path = Path(path)
-    if format == "plain":
-        return _load_plain(path)
-    if format == "jsonl":
-        return _load_jsonl(path)
-    raise ValueError(f"unknown corpus format: {format!r}")
+    return _load_jsonl(path) if format == "jsonl" else _load_plain(path)
 
 
 def _load_plain(path: Path) -> Iterator[Document]:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from xner.corpus import CorpusStats, Document, document_stats, segment
 from xner.errors import WorkerError
-from xner.gazetteer import Gazetteer, pre_annotate
+from xner.gazetteer import pre_annotate
 from xner.masker import MaskingConfig, mask_corpus
 from xner.selector import (
     MentionIndex,
@@ -151,7 +151,7 @@ def write_masked(
 def _select_doc(
     doc: Document,
     level: str,
-    gazetteer: Gazetteer | None,
+    gazetteer: dict | None,
     cfg: SelectorConfig,
     mentions: MentionIndex | None,
     specialized_types,
@@ -163,11 +163,13 @@ def _select_doc(
     if percent is not None:
         sentences = list(sample_fraction(sentences, percent, seed))
     if level != "task":
-        entity = [s.text() for s in select_entity_level(sentences, gazetteer, cfg, mentions)]
+        entity = [
+            " ".join(s.tokens) for s in select_entity_level(sentences, gazetteer, cfg, mentions)
+        ]
         if level == "entity":
             return entity
     task = [
-        s.text()
+        " ".join(s.tokens)
         for s in select_task_level(sentences, gazetteer, specialized_types, cfg, mentions)
     ]
     return task if level == "task" else (entity, task)
@@ -176,7 +178,7 @@ def _select_doc(
 def select_documents(
     documents: Iterable[Document],
     level: str,
-    gazetteer: Gazetteer | None,
+    gazetteer: dict | None,
     cfg: SelectorConfig = SelectorConfig(),
     mentions: MentionIndex | None = None,
     specialized_types: Iterable[str] = (),
@@ -245,17 +247,17 @@ def write_groups(groups: Iterable[list[str]], fh) -> tuple[int, int]:
     return sentences, tokens
 
 
-def _annotate_doc(doc: Document, gazetteer: Gazetteer) -> tuple[str, int]:
+def _annotate_doc(doc: Document, gazetteer: dict) -> tuple[str, int]:
     lines = []
     sentences = segment(doc)
-    for sentence in sentences:
-        lines.extend(map("{} {}\n".format, sentence.tokens, pre_annotate(sentence, gazetteer)))
+    for _, _, tokens in sentences:
+        lines.extend(map("{} {}\n".format, tokens, pre_annotate(tokens, gazetteer)))
         lines.append("\n")
     return "".join(lines), len(sentences)
 
 
 def write_pre_annotated(
-    documents: Iterable[Document], gazetteer: Gazetteer, fh, workers: int = 1
+    documents: Iterable[Document], gazetteer: dict, fh, workers: int = 1
 ) -> int:
     """Write the CoNLL pre-annotation of documents to fh in corpus order;
     return the sentence count."""

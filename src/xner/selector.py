@@ -15,7 +15,7 @@ from typing import AbstractSet, Collection, Iterable, Iterator, Mapping
 
 from xner.corpus import Sentence
 from xner.errors import DataError, data_lines
-from xner.gazetteer import EntityMention, Gazetteer, find_mentions
+from xner.gazetteer import EntityMention, find_mentions
 from xner.seeding import unit_interval
 
 # External mentions: (doc_id, sentence_index) -> {mention: its first "path:line"}.
@@ -28,23 +28,23 @@ SelectorConfig = namedtuple(
 
 
 def _sentence_mentions(
-    sentence: Sentence, gazetteer: Gazetteer | None, mentions: MentionIndex | None
+    sentence: Sentence, gazetteer: dict | None, mentions: MentionIndex | None
 ) -> Collection[EntityMention]:
     if mentions is None:
-        return find_mentions(sentence, gazetteer)
+        return find_mentions(sentence.tokens, gazetteer)
     found = mentions.get((sentence.doc_id, sentence.index), {})
     for mention, where in found.items():
-        if mention.end > len(sentence):
+        if mention.end > len(sentence.tokens):
             raise DataError(
                 f"{where}: bad mention record: span [{mention.start}, {mention.end}) "
-                f"is past the end of a {len(sentence)}-token sentence"
+                f"is past the end of a {len(sentence.tokens)}-token sentence"
             )
     return found
 
 
 def select_entity_level(
     corpus: Iterable[Sentence],
-    gazetteer: Gazetteer | None,
+    gazetteer: dict | None,
     cfg: SelectorConfig = SelectorConfig(),
     mentions: MentionIndex | None = None,
 ) -> Iterator[Sentence]:
@@ -57,7 +57,7 @@ def select_entity_level(
 
 def select_task_level(
     corpus: Iterable[Sentence],
-    gazetteer: Gazetteer | None,
+    gazetteer: dict | None,
     specialized_types: AbstractSet[str],
     cfg: SelectorConfig = SelectorConfig(),
     mentions: MentionIndex | None = None,

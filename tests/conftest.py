@@ -6,11 +6,19 @@ import pytest
 
 from xner.corpus import Sentence
 from xner.errors import UsageError
+from xner.gazetteer import build_trie
 from xner.nerdata import LabeledSentence
 
 
 def make_sentence(text: str, doc_id: str = "d", index: int = 0) -> Sentence:
     return Sentence(doc_id, index, tuple(text.split()))
+
+
+def make_trie(entries, parent_of=None) -> dict:
+    """The gazetteer trie of {surface tokens: types}, each surface one
+    frozenset row, resolved under the child-to-parent dict."""
+    rows = [(tuple(surface), frozenset(types)) for surface, types in entries.items()]
+    return build_trie(rows, parent_of or {})
 
 
 def make_labeled(text: str, tags) -> LabeledSentence:

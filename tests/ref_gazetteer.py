@@ -2,20 +2,38 @@
 
 Used only as an oracle for the package's compact trie. Every entry, leaf
 or not, ends in its own node holding {_END: type}, no token is shared
-between nodes, and the scan tries every position. Only the type rules
-(TypeHierarchy, resolve_type) and the mention record are shared with the
-package.
+between nodes, and the scan tries every position. The type rules
+(ancestors, resolve_type) are this module's own, over a child-to-parent
+dict; only the mention record is shared with the package.
 """
 
 from collections.abc import Mapping
 
-from xner.gazetteer import EntityMention, TypeHierarchy, resolve_type
+from xner.gazetteer import EntityMention
 
 _END = ""
 
 
+def ancestors(entity_type, parent_of):
+    out = []
+    node = entity_type
+    while node in parent_of:
+        node = parent_of[node]
+        out.append(node)
+    return out
+
+
+def resolve_type(candidates, parent_of):
+    """Most-specific candidate: ancestors of other candidates are
+    discarded, and the smallest of the rest wins."""
+    cands = set(candidates)
+    if not cands:
+        raise ValueError("candidate type set must be non-empty")
+    return min(cands.difference(*(ancestors(c, parent_of) for c in cands)))
+
+
 class Gazetteer:
-    def __init__(self, entries=(), hierarchy=None):
+    def __init__(self, entries=(), parent_of=None):
         rows = entries.items() if isinstance(entries, Mapping) else entries
         self._trie = {}
         terminals = []
@@ -35,9 +53,9 @@ class Gazetteer:
             else:
                 types |= merged
             node[_END] = type_sets.setdefault(types, types)
-        hierarchy = hierarchy or TypeHierarchy()
         resolved = {
-            types: resolve_type(types, hierarchy) for types in {n[_END] for n in terminals}
+            types: resolve_type(types, parent_of or {})
+            for types in {n[_END] for n in terminals}
         }
         for node in terminals:
             node[_END] = resolved[node[_END]]

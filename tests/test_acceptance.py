@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FixedRoll, make_labeled, make_sentence
+from conftest import FixedRoll, make_labeled, make_trie
 from test_evaluation import (
     assert_matches_conlleval,
     ill_formed_pred,
@@ -24,7 +24,7 @@ from test_evaluation import (
 from test_masker import check_spanify_postconditions
 from xner.corpus import Document, Sentence
 from xner.evaluation import score, vocab_overlap
-from xner.gazetteer import Gazetteer, TypeHierarchy, find_mentions, resolve_type
+from xner.gazetteer import find_mentions, resolve_type
 from xner.masker import MaskingConfig, apply_replacements, spanify
 from xner.nerdata import dataset_stats, parse_conll
 from xner.pipelines import select_documents, write_groups, write_masked
@@ -120,7 +120,7 @@ def _group_tokens(groups):
 
 def test_04_integrated_corpus_identity():
     with criterion(4, "integrated tokens = entity + 2 x task on 50 random corpora"):
-        gazetteer = Gazetteer(
+        gazetteer = make_trie(
             {("Nirvana",): {"band"}, ("Nevermind",): {"album"},
              ("Seattle",): {"location"}, ("Kurt", "Cobain"): {"person"}},
         )
@@ -227,7 +227,7 @@ def test_06_scorer_oracle_equivalence():
 
 def test_07_hierarchy_resolution():
     with criterion(7, "specific type wins: politician over person, band over organization"):
-        hierarchy = TypeHierarchy({"politician": "person", "band": "organization"})
+        hierarchy = {"politician": "person", "band": "organization"}
         start = time.perf_counter()
         assert resolve_type({"person", "politician"}, hierarchy) == "politician"
         assert resolve_type({"organization", "band"}, hierarchy) == "band"
@@ -239,13 +239,13 @@ def test_07_hierarchy_resolution():
 
 def test_08_longest_match_rule():
     with criterion(8, "5-token party name wins over inner country name"):
-        gazetteer = Gazetteer({
+        gazetteer = make_trie({
             ("United", "Socialist", "Party", "of", "Venezuela"): {"political party"},
             ("Venezuela",): {"country"},
         })
-        sentence = make_sentence("The United Socialist Party of Venezuela was founded")
+        tokens = tuple("The United Socialist Party of Venezuela was founded".split())
         start = time.perf_counter()
-        mentions = find_mentions(sentence, gazetteer)
+        mentions = find_mentions(tokens, gazetteer)
         elapsed = time.perf_counter() - start
         assert [(m.start, m.end, m.entity_type) for m in mentions] == [
             (1, 6, "political party"),
@@ -276,7 +276,7 @@ def test_09_determinism_under_parallelism():
     with criterion(9, "1 vs 8 workers: byte-identical masking and extraction"):
         docs = _parallel_corpus()
         assert sum(len(d.paragraphs) for d in docs) == 100_000
-        gazetteer = Gazetteer(
+        gazetteer = make_trie(
             {("Nirvana",): {"band"}, ("Nevermind",): {"album"},
              ("Seattle",): {"location"}},
         )
@@ -330,7 +330,7 @@ def test_11_selection_throughput():
     with criterion(11, "entity selection over 10M tokens, 50K-entry gazetteer, < 60 s"):
         rng = random.Random(11)
         entries = {(f"Entity{i}",): {"thing"} for i in range(50_000)}
-        gazetteer = Gazetteer(entries)
+        gazetteer = make_trie(entries)
 
         plain = [f"word{i}" for i in range(5000)]
         entity_tokens = [f"Entity{i}" for i in range(0, 50_000, 7)]
@@ -345,7 +345,7 @@ def test_11_selection_throughput():
             Sentence("d", i, templates[i % len(templates)])
             for i in range(n_sentences)
         ]
-        assert sum(len(s) for s in sentences) == 10_000_000
+        assert sum(len(s.tokens) for s in sentences) == 10_000_000
 
         start = time.perf_counter()
         selected = list(select_entity_level(sentences, gazetteer))

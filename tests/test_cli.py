@@ -76,6 +76,7 @@ def hierarchy_file(tmp_path):
 # The values that each checked flag rejects.
 BAD_FLAG_VALUES = [
     ("stats", "--workers", ["0", "-1", "nan", "x"]),
+    ("stats", "--format", ["xml"]),
     ("extract", "--min-mentions", ["0", "-1", "nan", "x"]),
     ("extract", "--min-specialized", ["0", "-1", "nan", "x"]),
     ("extract", "--upsample", ["0", "-1", "nan", "x"]),
@@ -136,7 +137,7 @@ class TestStats:
 
     @pytest.mark.parametrize("value, message", [
         ("abc", "XNER_WORKERS must be a positive integer, got 'abc'"),
-        ("0", "--workers and XNER_WORKERS must be >= 1"),
+        ("0", "XNER_WORKERS must be a positive integer, got '0'"),
     ])
     def test_bad_xner_workers_is_usage_error(
         self, capsys, monkeypatch, music_corpus, value, message

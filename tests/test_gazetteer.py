@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ref_gazetteer
-from conftest import make_sentence
+from conftest import make_trie
 from xner.errors import DataError
 from xner.gazetteer import (
     EntityMention,
-    Gazetteer,
-    TypeHierarchy,
+    build_trie,
     find_mentions,
     load_gazetteer,
+    load_hierarchy,
+    longest_match,
     pre_annotate,
     resolve_type,
 )
@@ -44,7 +45,7 @@ def oracle_leftmost_longest(texts, entries):
 
 
 def is_entry(g, surface):
-    match = g.longest_match(surface, 0)
+    match = longest_match(g, surface, 0)
     return match is not None and match[0] == len(surface)
 
 
@@ -52,7 +53,7 @@ def trie_entries(g):
     """{surface: type} of every entry in the compact trie, where a leaf is
     the type itself and an extended entry keeps its type under ""."""
     found = {}
-    stack = [((), g._trie)]
+    stack = [((), g)]
     while stack:
         surface, node = stack.pop()
         for token, child in node.items():
@@ -69,25 +70,25 @@ class TestLoadGazetteer:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("")
-        assert trie_entries(load_gazetteer(path)) == ref_gazetteer.Gazetteer().entries() == {}
+        assert trie_entries(load_gazetteer(path, {})) == ref_gazetteer.Gazetteer().entries() == {}
 
     def test_single_entry(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("Mars\tastronomicalobject\n")
-        g = load_gazetteer(path)
+        g = load_gazetteer(path, {})
         ref = ref_gazetteer.Gazetteer([(("Mars",), {"astronomicalobject"})])
         assert trie_entries(g) == ref.entries() == {("Mars",): "astronomicalobject"}
         assert is_entry(g, ("Mars",))
         assert not is_entry(g, ("Mars", "Mars"))
-        [m] = find_mentions(make_sentence("Mars rose"), g)
+        [m] = find_mentions("Mars rose".split(), g)
         assert m.entity_type == "astronomicalobject"
 
     def test_byte_order_mark_is_not_text(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_bytes("\ufeffKurt Cobain\tmusicalartist\nNirvana\tband\n".encode())
-        g = load_gazetteer(path)
+        g = load_gazetteer(path, {})
         assert trie_entries(g) == {("Kurt", "Cobain"): "musicalartist", ("Nirvana",): "band"}
-        assert [m.entity_type for m in find_mentions(make_sentence("Kurt Cobain sang"), g)] == [
+        assert [m.entity_type for m in find_mentions("Kurt Cobain sang".split(), g)] == [
             "musicalartist"
         ]
 
@@ -96,65 +97,55 @@ class TestLoadGazetteer:
         path.write_text(
             "Hugo Chávez\tpolitician\nHugo Chávez\tperson\nHugo Chávez\tpolitician\n"
         )
-        g = load_gazetteer(path)
+        g = load_gazetteer(path, {})
         ref = ref_gazetteer.Gazetteer([(("Hugo", "Chávez"), {"politician", "person"})])
         assert trie_entries(g) == ref.entries() == {("Hugo", "Chávez"): "person"}
         assert is_entry(g, ("Hugo", "Chávez"))
         # Without a hierarchy the lexicographically smallest type wins, and
         # only the merged set {politician, person} can resolve to person.
-        [m] = find_mentions(make_sentence("Hugo Chávez spoke"), g)
+        [m] = find_mentions("Hugo Chávez spoke".split(), g)
         assert m.entity_type == "person"
 
     def test_surface_tokenized_with_corpus_rules(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("People's Party\tpoliticalparty\n")
-        g = load_gazetteer(path)
+        g = load_gazetteer(path, {})
         assert is_entry(g, ("People", "'s", "Party"))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("ok\ttype\nbad row no tab\n")
         with pytest.raises(DataError, match=":2:"):
-            load_gazetteer(path)
+            load_gazetteer(path, {})
 
     def test_empty_surface(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text(" \ttype\n")
         with pytest.raises(DataError, match="empty surface"):
-            load_gazetteer(path)
+            load_gazetteer(path, {})
 
     def test_hierarchy_resolves_merged_rows(self, tmp_path):
         g_path = tmp_path / "g.tsv"
         g_path.write_text("Hugo Chávez\tperson\nAna\tperson\nHugo Chávez\tpolitician\n")
         h_path = tmp_path / "h.tsv"
         h_path.write_text("politician\tperson\n")
-        g = load_gazetteer(g_path, hierarchy=TypeHierarchy.load(h_path))
-        mentions = find_mentions(make_sentence("Ana met Hugo Chávez"), g)
+        g = load_gazetteer(g_path, load_hierarchy(h_path))
+        mentions = find_mentions("Ana met Hugo Chávez".split(), g)
         assert [m.entity_type for m in mentions] == ["person", "politician"]
 
-    @pytest.mark.parametrize("surface, types, message", [
-        ((), {"t"}, "empty gazetteer surface"),
-        (("a", ""), {"t"}, "empty gazetteer surface"),
-        (("a",), set(), "without types"),
-    ])
-    def test_invalid_entries_rejected(self, surface, types, message):
-        for entries in ({surface: types}, [(("b",), {"t"}), (surface, types)]):
-            with pytest.raises(ValueError, match=message):
-                Gazetteer(entries)
-
     def test_mentions_carry_the_resolved_merged_type(self, tmp_path, rng):
-        """Random rows with repeated surfaces, under random hierarchies: a
-        mapping, an iterable of rows and the loader all give each mention
-        resolve_type of its surface's merged type set."""
+        """Random rows with repeated surfaces, under random hierarchies: the
+        merged entries, the rows themselves and the loader all give each
+        mention resolve_type of its surface's merged type set."""
         tokens = ["Ab", "Cd", "Ef"]
         types = ["a", "b", "c", "d", "e"]
         path = tmp_path / "g.tsv"
         for _ in range(300):
             order = rng.sample(types, len(types))
-            h = TypeHierarchy({
+            h = {
                 t: rng.choice(order[:i])
                 for i, t in enumerate(order) if i and rng.random() < 0.6
-            })
+            }
             rows = [
                 (tuple(rng.choices(tokens, k=rng.randint(1, 3))), rng.choice(types))
                 for _ in range(rng.randint(1, 12))
@@ -165,47 +156,47 @@ class TestLoadGazetteer:
             path.write_text("".join(f"{' '.join(s)}\t{t}\n" for s, t in rows))
             texts = rng.choices(tokens, k=rng.randint(1, 8))
             expected = [
-                (start, end, resolve_type(merged_types, h))
+                (start, end, ref_gazetteer.resolve_type(merged_types, h))
                 for start, end, merged_types in oracle_leftmost_longest(texts, merged)
             ]
             for g in (
-                Gazetteer(merged, hierarchy=h),
-                Gazetteer(((s, {t}) for s, t in rows), hierarchy=h),
-                load_gazetteer(path, hierarchy=h),
+                make_trie(merged, h),
+                build_trie(((s, frozenset({t})) for s, t in rows), h),
+                load_gazetteer(path, h),
             ):
                 assert trie_entries(g) == ref_gazetteer.Gazetteer(merged, h).entries()
                 assert all(is_entry(g, surface) for surface in merged)
-                mentions = find_mentions(make_sentence(" ".join(texts)), g)
+                mentions = find_mentions(texts, g)
                 assert [(m.start, m.end, m.entity_type) for m in mentions] == expected
 
 
 class TestResolveType:
     def test_singleton(self):
-        assert resolve_type({"person"}, TypeHierarchy()) == "person"
+        assert resolve_type({"person"}, {}) == "person"
 
     def test_politician_beats_person(self):
-        h = TypeHierarchy({"politician": "person"})
+        h = {"politician": "person"}
         assert resolve_type({"person", "politician"}, h) == "politician"
 
     def test_band_beats_organization(self):
-        h = TypeHierarchy({"band": "organization"})
+        h = {"band": "organization"}
         assert resolve_type({"organization", "band"}, h) == "band"
 
     def test_grandparent_chain(self):
-        h = TypeHierarchy({"enzyme": "protein", "protein": "chemical compound"})
+        h = {"enzyme": "protein", "protein": "chemical compound"}
         assert resolve_type({"chemical compound", "protein", "enzyme"}, h) == "enzyme"
 
     def test_incomparable_tie_is_lexicographic(self):
-        assert resolve_type({"song", "album"}, TypeHierarchy()) == "album"
+        assert resolve_type({"song", "album"}, {}) == "album"
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError):
-            resolve_type(set(), TypeHierarchy())
+            resolve_type(set(), {})
 
     @given(st.sets(st.sampled_from(
         ["person", "politician", "organization", "band", "location"]), min_size=1))
     def test_permutation_invariant_and_idempotent(self, candidates):
-        h = TypeHierarchy({"politician": "person", "band": "organization"})
+        h = {"politician": "person", "band": "organization"}
         resolved = resolve_type(candidates, h)
         assert resolved in candidates
         for perm in itertools.permutations(candidates):
@@ -216,59 +207,60 @@ class TestResolveType:
         names = ["a", "b", "c", "d", "e", "f"]
         for _ in range(2000):
             order = rng.sample(names, len(names))
-            h = TypeHierarchy({
+            h = {
                 t: rng.choice(order[:i])
                 for i, t in enumerate(order) if i and rng.random() < 0.6
-            })
+            }
             cands = set(rng.sample(names, rng.randint(1, len(names))))
             minimal = {
-                c for c in cands if not any(c in h.ancestors(o) for o in cands if o != c)
+                c for c in cands if not any(c in ref_gazetteer.ancestors(o, h) for o in cands if o != c)
             }
             assert resolve_type(cands, h) == min(minimal)
 
-    def test_hierarchy_cycle_rejected(self):
-        with pytest.raises(ValueError, match="cycle"):
-            TypeHierarchy({"a": "b", "b": "a"})
+    def test_hierarchy_cycle_rejected(self, tmp_path):
+        path = tmp_path / "h.tsv"
+        path.write_text("a\tb\nb\ta\n")
+        with pytest.raises(DataError, match=":1: type hierarchy cycle through 'a'"):
+            load_hierarchy(path)
 
     def test_hierarchy_load(self, tmp_path):
         path = tmp_path / "h.tsv"
         path.write_text("politician\tperson\nband\torganization\n")
-        h = TypeHierarchy.load(path)
-        assert h.ancestors("politician") == ["person"]
+        assert load_hierarchy(path) == {"politician": "person", "band": "organization"}
 
 
 class TestFindMentions:
     def test_empty_gazetteer(self):
-        s = make_sentence("no entities here")
-        assert find_mentions(s, Gazetteer()) == []
+        s = "no entities here".split()
+        assert find_mentions(s, {}) == []
 
     def test_larger_span_suppresses_inner_entity(self):
-        g = Gazetteer({
+        g = make_trie({
             ("United", "Socialist", "Party", "of", "Venezuela"): {"political party"},
             ("Venezuela",): {"country"},
         })
-        s = make_sentence("the United Socialist Party of Venezuela drew votes")
+        s = "the United Socialist Party of Venezuela drew votes".split()
         mentions = find_mentions(s, g)
         assert mentions == [(1, 6, "political party")]
         assert EntityMention._fields == ("start", "end", "entity_type")
 
     def test_longest_at_position(self):
-        g = Gazetteer({
+        g = make_trie({
             ("New", "York"): {"location"},
             ("New", "York", "City"): {"location"},
         })
-        s = make_sentence("New York City")
+        s = "New York City".split()
         mentions = find_mentions(s, g)
         assert [(m.start, m.end) for m in mentions] == [(0, 3)]
 
     def test_case_sensitive(self):
-        g = Gazetteer({("Apple",): {"organization"}})
-        assert find_mentions(make_sentence("an apple fell"), g) == []
+        g = make_trie({("Apple",): {"organization"}})
+        assert find_mentions("an apple fell".split(), g) == []
 
     def test_types_resolved_at_load(self):
-        h = TypeHierarchy({"politician": "person"})
-        g = Gazetteer({("Hugo", "Chávez"): {"person", "politician"}}, hierarchy=h)
-        [m] = find_mentions(make_sentence("Hugo Chávez spoke"), g)
+        h = {"politician": "person"}
+        g = make_trie({("Hugo", "Chávez"): {"person", "politician"}}, h)
+        [m] = find_mentions("Hugo Chávez spoke".split(), g)
         assert m.entity_type == "politician"
 
     def test_sorted_and_disjoint(self, rng):
@@ -278,10 +270,9 @@ class TestFindMentions:
                 tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3))): {"t"}
                 for _ in range(rng.randint(0, 6))
             }
-            g = Gazetteer(entries)
+            g = make_trie(entries)
             texts = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-            s = make_sentence(" ".join(texts))
-            mentions = find_mentions(s, g)
+            mentions = find_mentions(texts, g)
             spans = [(m.start, m.end) for m in mentions]
             assert spans == sorted(spans)
             for (_, e1), (s2, _) in zip(spans, spans[1:]):
@@ -294,10 +285,9 @@ class TestFindMentions:
                 tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4))): frozenset({"t"})
                 for _ in range(rng.randint(0, 10))
             }
-            g = Gazetteer(entries)
+            g = make_trie(entries)
             texts = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-            s = make_sentence(" ".join(texts))
-            got = [(m.start, m.end) for m in find_mentions(s, g)]
+            got = [(m.start, m.end) for m in find_mentions(texts, g)]
             expected = [(a, b) for a, b, _ in
                         oracle_leftmost_longest(texts, entries)]
             assert got == expected
@@ -309,23 +299,23 @@ class TestFindMentions:
             ("b", "c"): {"t"},
             ("c",): {"t"},
         }
-        s = make_sentence("a b c a b c")
-        full = find_mentions(s, Gazetteer(entries))
+        s = "a b c a b c".split()
+        full = find_mentions(s, make_trie(entries))
         max_len = max(m.end - m.start for m in full)
         for surface in entries:
             reduced = {k: v for k, v in entries.items() if k != surface}
-            mentions = find_mentions(s, Gazetteer(reduced))
+            mentions = find_mentions(s, make_trie(reduced))
             if mentions:
                 assert max(m.end - m.start for m in mentions) <= max_len
 
 
 class TestPreAnnotate:
     def test_no_matches(self):
-        assert pre_annotate(make_sentence("just plain words"), Gazetteer()) == ["O", "O", "O"]
+        assert pre_annotate("just plain words".split(), {}) == ["O", "O", "O"]
 
     def test_bio_construction(self):
-        g = Gazetteer({("Brand", "Nubian"): {"band"}})
-        s = make_sentence("guest appearance by rappers of Brand Nubian today")
+        g = make_trie({("Brand", "Nubian"): {"band"}})
+        s = "guest appearance by rappers of Brand Nubian today".split()
         tags = pre_annotate(s, g)
         assert tags[5] == "B-band"
         assert tags[6] == "I-band"
@@ -338,8 +328,8 @@ class TestPreAnnotate:
                 tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3))): {"x", "y"}
                 for _ in range(rng.randint(0, 5))
             }
-            s = make_sentence(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
-            tags = pre_annotate(s, Gazetteer(entries))
+            s = [rng.choice(vocab) for _ in range(rng.randint(1, 9))]
+            tags = pre_annotate(s, make_trie(entries))
             assert validate_bio(tags) == []
 
 
@@ -362,9 +352,9 @@ def gazetteer_rows(draw):
 @st.composite
 def hierarchies(draw):
     order = draw(st.permutations(TYPES))
-    return TypeHierarchy({
+    return {
         t: draw(st.sampled_from(order[:i])) for i, t in enumerate(order) if i and draw(st.booleans())
-    })
+    }
 
 
 @settings(max_examples=500, deadline=None)
@@ -374,14 +364,17 @@ def hierarchies(draw):
     sentences=st.lists(st.lists(st.sampled_from(TOKENS + ["Zz"]), min_size=1, max_size=10)),
 )
 def test_matches_the_reference_trie(rows, hierarchy, sentences):
-    g = Gazetteer(rows, hierarchy)
+    g = build_trie([(s, frozenset(types)) for s, types in rows], hierarchy or {})
     ref = ref_gazetteer.Gazetteer(rows, hierarchy)
     assert trie_entries(g) == ref.entries()
     for texts in sentences:
         for start in range(len(texts)):
-            assert g.longest_match(texts, start) == ref.longest_match(texts, start)
-        mentions = find_mentions(make_sentence(" ".join(texts)), g)
+            assert longest_match(g, texts, start) == ref.longest_match(texts, start)
+        mentions = find_mentions(texts, g)
         assert mentions == ref_gazetteer.find_mentions(texts, ref)
+
+
+_T = frozenset({"t"})
 
 
 def _rows_with_fresh_tokens(entries=20_000, vocabulary=8_000):
@@ -389,7 +382,7 @@ def _rows_with_fresh_tokens(entries=20_000, vocabulary=8_000):
     load_gazetteer reads them from a file."""
     rng = random.Random(0)
     for _ in range(entries):
-        yield [f"w{rng.randrange(vocabulary)}" for _ in range(rng.randint(1, 4))], ("t",)
+        yield [f"w{rng.randrange(vocabulary)}" for _ in range(rng.randint(1, 4))], _T
 
 
 def _retained_bytes(build):
@@ -404,7 +397,7 @@ def _retained_bytes(build):
 
 
 def test_memory_is_at_most_three_quarters_of_the_reference_trie():
-    new, g = _retained_bytes(lambda: Gazetteer(_rows_with_fresh_tokens()))
+    new, g = _retained_bytes(lambda: build_trie(_rows_with_fresh_tokens(), {}))
     ref, ref_g = _retained_bytes(lambda: ref_gazetteer.Gazetteer(_rows_with_fresh_tokens()))
     assert trie_entries(g) == ref_g.entries()
     assert new <= 0.75 * ref, (new, ref)

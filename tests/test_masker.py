@@ -335,7 +335,7 @@ class TestMaskCorpus:
         sentence = make_sentence(
             "Western music's effect would continue to grow within the country 's sphere"
         )
-        assert len(sentence) == 12
+        assert len(sentence.tokens) == 12
         cfg = None
         for seed in range(10_000):
             candidate = MaskingConfig(seed=seed, strategy="span")

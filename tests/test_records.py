@@ -51,9 +51,8 @@ def test_fields_and_defaults():
     assert _example(0, 2).targets[1] == MaskTarget(2, "w", "keep")
 
 
-def test_len_counts_tokens_and_replace_keeps_the_type():
+def test_replace_keeps_the_type():
     sentence = Sentence("d", 0, ("a", "b", "c", "d"))
-    assert len(sentence) == 4
     assert sentence._replace(index=3) == Sentence("d", 3, sentence.tokens)
     labeled = LabeledSentence(("a", "b", "c"), ("B-x", "I-x", "O"))
     relabeled = labeled._replace(tags=("O", "O", "O"))

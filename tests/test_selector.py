@@ -1,10 +1,9 @@
 import pytest
 
-from conftest import assert_rejected, make_sentence
+from conftest import assert_rejected, make_sentence, make_trie
 from xner.cli import run
 from xner.corpus import Document
 from xner.errors import DataError
-from xner.gazetteer import Gazetteer
 from xner.pipelines import select_documents
 from xner.seeding import unit_interval
 from xner.selector import (
@@ -17,7 +16,7 @@ from xner.selector import (
 
 
 def gazetteer():
-    return Gazetteer(
+    return make_trie(
         {
             ("Nirvana",): {"band"},
             ("Nevermind",): {"album"},
@@ -218,7 +217,7 @@ class TestBuildIntegrated:
     def _integrated(entity_lengths, task_lengths, cfg=SelectorConfig()):
         # One sentence per document, of the given token lengths: two "E"
         # mentions make it entity-level only, one "T" makes it task-level only.
-        g = Gazetteer({("E",): {"plain"}, ("T",): {"special"}})
+        g = make_trie({("E",): {"plain"}, ("T",): {"special"}})
         docs = [
             Document(f"e{i}", (" ".join(["E", "E"] + ["w"] * (n - 2)),))
             for i, n in enumerate(entity_lengths)
