@@ -460,6 +460,51 @@ def test_gazetteer_golden_bytes(capsys, tmp_path, name, workers):
     assert out_path.read_bytes() == (DATA_DIR / f"extract_corpus.{name}").read_bytes()
 
 
+_OVERLAP_INPUTS = [
+    "overlap", "--inputs", f"music={DATA_DIR / 'extract_corpus.txt'}",
+    f"mask={DATA_DIR / 'mask_corpus.txt'}", f"écologie={DATA_DIR / 'overlap_corpus.txt'}",
+]
+
+# The exact stdout of each summary command: its golden file
+# tests/data/summary.NAME.json and the command line that prints it.
+# json.loads would not see a change of key order, spacing or float form.
+# The files were written by the version whose ner-stats and overlap
+# summaries were SplitStats and OverlapMatrix records.
+SUMMARY_GOLDENS = [
+    ("stats_plain", ["stats", "--input", str(DATA_DIR / "extract_corpus.txt"), "--workers", "1"]),
+    ("stats_plain", ["stats", "--input", str(DATA_DIR / "extract_corpus.txt"), "--workers", "2"]),
+    ("stats_jsonl", ["stats", "--input", str(DATA_DIR / "stats_corpus.jsonl"),
+                     "--format", "jsonl", "--workers", "2"]),
+    ("ner_stats_gold", ["ner-stats", "--input", str(DATA_DIR / "eval_gold.conll")]),
+    ("ner_stats_conll2003", ["ner-stats", "--input", str(DATA_DIR / "ner_stats_conll2003.conll")]),
+    ("ner_stats_empty", ["ner-stats", "--input", "empty.conll"]),
+    ("overlap", _OVERLAP_INPUTS),
+    ("overlap_stopwords", [*_OVERLAP_INPUTS, "--top-k", "12",
+                           "--stopwords", str(DATA_DIR / "overlap_stopwords.txt")]),
+]
+
+
+@pytest.mark.parametrize("name, argv", [
+    pytest.param(name, argv, id=f"{name} {' '.join(argv[argv.index('--workers'):])}"
+                 if "--workers" in argv else name)
+    for name, argv in SUMMARY_GOLDENS
+])
+def test_summary_golden_bytes(capsys, monkeypatch, tmp_path, name, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.conll").touch()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (DATA_DIR / f"summary.{name}.json").read_text(encoding="utf-8")
+
+
+def test_ner_stats_of_a_lenient_prediction_file_is_data_error(capsys):
+    # eval reads this four-column, -DOCSTART- file leniently; ner-stats is strict.
+    path = DATA_DIR / "eval_pred_conlleval.conll"
+    code, out, err = run_cli(capsys, "ner-stats", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"xner: data error: {path}:3: invalid BIO tag 'I-album'\n"
+
+
 class TestMask:
     def test_mask_summary_and_output(self, capsys, tmp_path, music_corpus):
         out_path = tmp_path / "m.jsonl"
