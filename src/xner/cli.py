@@ -60,11 +60,15 @@ def _number(kind, lo, hi, expected):
 _POSITIVE = _number(int, 1, math.inf, ">= 1")
 
 
-def _type_pair(text):
-    from_type, _, to_type = text.partition(",")
-    if not (from_type and to_type):
-        raise argparse.ArgumentTypeError(f"must be FROM,TO with both types given, got {text!r}")
-    return from_type, to_type
+def _pair(separator, form):
+    """An argparse type: the two non-empty parts of text around its first
+    separator; else a usage error that names the flag and the form."""
+    def parse(text):
+        first, _, second = text.partition(separator)
+        if not (first and second):
+            raise argparse.ArgumentTypeError(f"must be {form}, got {text!r}")
+        return first, second
+    return parse
 
 
 def _add_corpus_args(p):
@@ -84,10 +88,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract", help="build a pre-training corpus")
     _add_corpus_args(p)
     p.add_argument("--level", choices=LEVELS, required=True)
-    p.add_argument("--gazetteer", help="surface<TAB>type TSV")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gazetteer", help="surface<TAB>type TSV")
+    source.add_argument("--mentions", help="external mention JSONL instead of gazetteer matching")
     p.add_argument("--hierarchy", help="child<TAB>parent TSV")
     p.add_argument("--specialized", help="one specialized type per line")
-    p.add_argument("--mentions", help="external mention JSONL instead of gazetteer matching")
     p.add_argument("--min-mentions", type=_POSITIVE, default=2)
     p.add_argument("--min-specialized", type=_POSITIVE, default=1)
     p.add_argument("--upsample", type=_POSITIVE, default=2)
@@ -112,12 +117,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="entity-level F1 evaluation")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--misclassify", type=_type_pair, metavar="FROM,TO",
+    p.add_argument("--misclassify", metavar="FROM,TO",
+                   type=_pair(",", "FROM,TO with both types given"),
                    help="also report the FROM->TO exact-span misclassification rate")
     p.add_argument("--output", help="write the full JSON report here")
 
     p = sub.add_parser("overlap", help="vocabulary overlap between corpora")
-    p.add_argument("--inputs", nargs="+", required=True, metavar="NAME=PATH")
+    p.add_argument("--inputs", nargs="+", required=True, metavar="NAME=PATH",
+                   type=_pair("=", "NAME=PATH with both given"))
     p.add_argument("--format", choices=("plain", "jsonl"), default="plain")
     p.add_argument("--top-k", type=_POSITIVE, default=5000)
     p.add_argument("--stopwords", help="one stopword per line (default: built-in list)")
@@ -216,18 +223,17 @@ def _word_list(path) -> list[str]:
 
 def _cmd_stats(args) -> None:
     stats = stats_documents(load_corpus(args.input, args.format), _workers(args))
-    _emit(stats.as_dict())
+    _emit(stats._asdict())
 
 
 def _cmd_extract(args) -> None:
-    if not (args.gazetteer or args.mentions):
-        raise UsageError("extract needs --gazetteer or --mentions")
     specialized = _word_list(args.specialized) if args.specialized else ()
     if args.level != "entity" and not specialized:
         raise UsageError(f"--level {args.level} needs a non-empty --specialized list")
     parent_of = load_hierarchy(args.hierarchy) if args.hierarchy else {}
-    gazetteer = load_gazetteer(args.gazetteer, parent_of) if args.gazetteer else None
-    mentions = load_external_mentions(args.mentions) if args.mentions else None
+    # The parser gives exactly one of --gazetteer and --mentions.
+    gazetteer = load_gazetteer(args.gazetteer, parent_of) if args.mentions is None else None
+    mentions = load_external_mentions(args.mentions) if args.mentions is not None else None
     groups = select_documents(
         load_corpus(args.input, args.format),
         args.level,
@@ -269,7 +275,7 @@ def _cmd_mask(args) -> None:
 
 
 def _cmd_ner_stats(args) -> None:
-    _emit(dataset_stats(iter_conll(args.input)).as_dict())
+    _emit(dataset_stats(iter_conll(args.input)))
 
 
 def _cmd_eval(args) -> None:
@@ -299,16 +305,12 @@ def _cmd_eval(args) -> None:
 
 def _cmd_overlap(args) -> None:
     corpora = {}
-    for spec in args.inputs:
-        if "=" not in spec:
-            raise UsageError(f"--inputs entries must be NAME=PATH, got {spec!r}")
-        name, path = spec.split("=", 1)
+    for name, path in args.inputs:
         if name in corpora:
             raise UsageError(f"--inputs repeats the name {name!r}")
         corpora[name] = corpus_tokens(load_corpus(path, args.format))
     stopwords = _word_list(args.stopwords) if args.stopwords else None
-    matrix = vocab_overlap(corpora, args.top_k, stopwords)
-    _emit(matrix.as_dict())
+    _emit(vocab_overlap(corpora, args.top_k, stopwords))
 
 
 def _cmd_pre_annotate(args) -> None:

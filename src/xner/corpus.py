@@ -12,6 +12,7 @@ import json
 import re
 from collections import namedtuple
 from itertools import chain
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -51,23 +52,14 @@ class Document(NamedTuple):
 
 
 class CorpusStats(NamedTuple):
-    paragraph_count: int = 0
-    sentence_count: int = 0
-    token_count: int = 0
+    """Counts that add up across documents; _asdict() is the stats summary."""
+
+    paragraphs: int = 0
+    sentences: int = 0
+    tokens: int = 0
 
     def __add__(self, other: "CorpusStats") -> "CorpusStats":
-        return CorpusStats(
-            self.paragraph_count + other.paragraph_count,
-            self.sentence_count + other.sentence_count,
-            self.token_count + other.token_count,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "paragraphs": self.paragraph_count,
-            "sentences": self.sentence_count,
-            "tokens": self.token_count,
-        }
+        return CorpusStats(*map(add, self, other))
 
 
 def split_text(text: str) -> list[str]:

@@ -53,19 +53,6 @@ class EvalReport(NamedTuple):
         }
 
 
-class OverlapMatrix(NamedTuple):
-    domains: tuple[str, ...]
-    values: tuple  # row-major percentages; value[a][b] = 100*|Va & Vb|/|Va|
-    k: int
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "domains": list(self.domains),
-            "values": [list(row) for row in self.values],
-        }
-
-
 def _prf(correct: int, predicted: int, gold: int) -> TypeScore:
     p = correct / predicted if predicted else 0.0
     r = correct / gold if gold else 0.0
@@ -149,26 +136,19 @@ def vocab_overlap(
     corpora: Mapping[str, Iterable[str]],
     k: int = 5000,
     stopwords: Iterable[str] | None = None,
-) -> OverlapMatrix:
-    """Pairwise vocabulary overlap between named token streams.
+) -> dict:
+    """Pairwise vocabulary overlap between named token streams, as the
+    overlap summary {"k": k, "domains": names, "values": rows}.
 
-    Each domain's vocabulary is its top-k frequent words; the (a, b) cell
-    is 100 * |Va & Vb| / |Va|, so rows are normalized by their own
+    Each domain's vocabulary is its top-k frequent words; values[a][b] is
+    100 * |Va & Vb| / |Va|, so rows are normalized by their own
     vocabulary size (a corpus with fewer than k distinct words uses all
-    of them).
+    of them), and a row with no vocabulary is all 0.0.
     """
     stop = frozenset(
         w.lower() for w in (DEFAULT_STOPWORDS if stopwords is None else stopwords)
     )
-    names = tuple(corpora)
-    vocabs = {name: set(top_vocabulary(corpora[name], k, stop)) for name in names}
-    rows = []
-    for a in names:
-        row = []
-        for b in names:
-            if vocabs[a]:
-                row.append(100.0 * len(vocabs[a] & vocabs[b]) / len(vocabs[a]))
-            else:
-                row.append(0.0)
-        rows.append(tuple(row))
-    return OverlapMatrix(names, tuple(rows), k)
+    names = list(corpora)
+    vocabs = [set(top_vocabulary(corpora[name], k, stop)) for name in names]
+    values = [[100.0 * len(a & b) / len(a) if a else 0.0 for b in vocabs] for a in vocabs]
+    return {"k": k, "domains": names, "values": values}

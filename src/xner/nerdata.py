@@ -26,20 +26,6 @@ class LabeledSentence(namedtuple("LabeledSentence", "tokens tags")):
         return super().__new__(cls, tokens, tags)
 
 
-class SplitStats(NamedTuple):
-    sentence_count: int
-    per_type: dict  # type -> (mention count, percentage of all mentions)
-
-    def as_dict(self) -> dict:
-        return {
-            "sentences": self.sentence_count,
-            "entities": {
-                t: {"count": c, "percent": round(p, 2)}
-                for t, (c, p) in sorted(self.per_type.items())
-            },
-        }
-
-
 def _well_formed(tag: str) -> bool:
     """Whether tag is "O", "B-<type>" or "I-<type>" with a non-empty type."""
     return tag == "O" or (len(tag) > 2 and tag[0] in "BI" and tag[1] == "-")
@@ -159,16 +145,20 @@ def entity_spans(tags: Sequence[str]) -> dict[tuple[int, int], str]:
     return spans
 
 
-def dataset_stats(split: Iterable) -> SplitStats:
-    """Sentence count plus per-type mention counts and percentages, in one
-    pass over the sentences' .tags, so split may be a one-shot iterator
-    such as iter_conll(path)."""
+def dataset_stats(split: Iterable) -> dict:
+    """The ner-stats summary: the sentence count, then each type's mention
+    count and its percentage of all mentions, rounded to 2 places, in type
+    order. One pass over the sentences' .tags, so split may be a one-shot
+    iterator such as iter_conll(path)."""
     counts = Counter()
     sentences = 0
     for sentences, s in enumerate(split, 1):
         counts.update(entity_spans(s.tags).values())
-    total = sum(counts.values())
-    per_type = {
-        t: (c, 100.0 * c / total if total else 0.0) for t, c in counts.items()
+    total = sum(counts.values())  # 0 only when there is no type to divide
+    return {
+        "sentences": sentences,
+        "entities": {
+            t: {"count": c, "percent": round(100.0 * c / total, 2)}
+            for t, c in sorted(counts.items())
+        },
     }
-    return SplitStats(sentences, per_type)

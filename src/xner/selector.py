@@ -94,9 +94,9 @@ def _field(rec: dict, name: str, kind: type):
 def load_external_mentions(path) -> dict[tuple[str, int], dict[EntityMention, str]]:
     """Load a JSONL mention file into a (doc_id, sentence_index) index.
 
-    Records: {"doc_id": str, "sentence_index": int, "start": int, "end": int,
-    "type": one word}. A repeated record counts once; selection rejects a
-    span past its sentence's end.
+    Records: {"doc_id": str, "sentence_index": int >= 0, "start": int,
+    "end": int, "type": one word}. A repeated record counts once;
+    selection rejects a span past its sentence's end.
     """
     index: dict[tuple[str, int], dict[EntityMention, str]] = {}
     for lineno, line in data_lines(path):
@@ -105,6 +105,8 @@ def load_external_mentions(path) -> dict[tuple[str, int], dict[EntityMention, st
             if not isinstance(rec, dict):
                 raise ValueError("expected a JSON object")
             key = (_field(rec, "doc_id", str), _field(rec, "sentence_index", int))
+            if key[1] < 0:
+                raise ValueError(f"sentence_index must be >= 0, got {key[1]}")
             mention = EntityMention(
                 _field(rec, "start", int), _field(rec, "end", int), _field(rec, "type", str)
             )

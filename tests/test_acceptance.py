@@ -176,9 +176,9 @@ def test_05_released_dataset_statistics():
                 assert len(sentences) == size, (domain, split, len(sentences))
                 splits[(domain, split)] = sentences
         stats = dataset_stats(splits[("politics", "train")])
-        count, pct = stats.per_type["politician"]
-        assert count == 359
-        assert abs(pct - 27.53) < 0.01
+        politician = stats["entities"]["politician"]
+        assert politician["count"] == 359
+        assert abs(politician["percent"] - 27.53) < 0.01
         assert time.perf_counter() - start < 10
 
 
@@ -310,16 +310,16 @@ def test_10_vocabulary_overlap_sanity():
     with criterion(10, "overlap: self=100, disjoint=0, toy case=60.0"):
         start = time.perf_counter()
         same = vocab_overlap({"a": ["x", "y"], "b": ["x", "y"]}, k=5, stopwords=[])
-        assert same.values[0][0] == 100.0
-        assert same.values[0][1] == 100.0
+        assert same["values"][0][0] == 100.0
+        assert same["values"][0][1] == 100.0
         disjoint = vocab_overlap({"a": ["x"], "b": ["y"]}, k=5, stopwords=[])
-        assert disjoint.values[0][1] == 0.0
+        assert disjoint["values"][0][1] == 0.0
         a_words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
         b_words = ["alpha", "beta", "gamma", "theta", "iota", "kappa"]
         corpus_a = [w for w, c in zip(a_words, range(6, 0, -1)) for _ in range(c)]
         corpus_b = [w for w, c in zip(b_words, range(6, 0, -1)) for _ in range(c)]
         toy = vocab_overlap({"a": corpus_a, "b": corpus_b}, k=5, stopwords=[])
-        assert toy.values[0][1] == 60.0
+        assert toy["values"][0][1] == 60.0
         assert time.perf_counter() - start < 1
 
 

@@ -85,6 +85,7 @@ BAD_FLAG_VALUES = [
     ("mask", "--min-len", ["0", "-1", "nan", "x"]),
     ("mask", "--vocab-size", ["0", "-1", "nan", "x"]),
     ("overlap", "--top-k", ["0", "-1", "nan", "x"]),
+    ("overlap", "--inputs", ["=x", "a=", "a"]),
     ("subsample", "--n", ["-1", "nan", "x"]),
     ("joint", "--multiplier", ["0", "-1", "nan", "x"]),
     ("eval", "--misclassify", ["PER,", ",PER", ",", "PER"]),
@@ -200,6 +201,23 @@ class TestExtract:
         assert code == 1
         assert "usage error" in err
 
+    def test_gazetteer_and_mentions_together_is_usage_error(
+        self, capsys, tmp_path, music_corpus, gazetteer_file
+    ):
+        mentions = tmp_path / "m.jsonl"
+        mentions.write_text("")
+        out_path = tmp_path / "o.txt"
+        code, out, err = run_cli(
+            capsys, "extract", "--level", "entity", "--input", str(music_corpus),
+            "--gazetteer", str(gazetteer_file), "--mentions", str(mentions),
+            "--output", str(out_path), "--workers", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "xner: usage error: argument --mentions: not allowed with argument --gazetteer\n"
+        )
+        assert not out_path.exists()
+
     def test_task_without_specialized_fails(
         self, capsys, tmp_path, music_corpus, gazetteer_file
     ):
@@ -249,7 +267,8 @@ class TestExtract:
         '"sentence_index": 0.9, "start": 0.7, "end": 1.5, "type": "band"',
         '"sentence_index": 0, "start": false, "end": true, "type": "band"',
         '"sentence_index": 0, "start": 0, "end": 1, "type": "two words"',
-    ], ids=["fractional", "bool-offsets", "two-word-type"])
+        '"sentence_index": -1, "start": 0, "end": 1, "type": "band"',
+    ], ids=["fractional", "bool-offsets", "two-word-type", "negative-index"])
     def test_external_mention_fields_are_checked(self, capsys, tmp_path, fields):
         good = '{"doc_id": "c-000000", "sentence_index": 0, "start": 2, "end": 3, "type": "x"}'
         code, out, err, mentions = self._extract_with_mentions(
@@ -962,7 +981,7 @@ class TestNerStatsSubsampleJoint:
 
         monkeypatch.setattr("xner.cli.parse_conll", no_parse_conll)
         code, out, _ = run_cli(capsys, "ner-stats", "--input", str(gold))
-        assert (code, json.loads(out)) == (0, dataset_stats(sentences).as_dict())
+        assert (code, json.loads(out)) == (0, dataset_stats(sentences))
 
         expected = io.StringIO()
         serialize_conll(subsample(sentences, 5, 3), expected)
@@ -1120,7 +1139,7 @@ class TestLosslessWriters:
                 return json.dumps(summary) + "\n", expected.getvalue().encode()
 
             assert _run_quiet(["ner-stats", "--input", src]) == (
-                0, json.dumps(dataset_stats(source).as_dict(), ensure_ascii=False) + "\n",
+                0, json.dumps(dataset_stats(source), ensure_ascii=False) + "\n",
             )
 
             code, summary = _run_quiet([

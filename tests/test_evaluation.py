@@ -233,17 +233,17 @@ class TestVocabOverlap:
     def test_identical_corpora(self):
         tokens = ["guitar", "drum", "bass", "guitar"]
         matrix = vocab_overlap({"a": tokens, "b": list(tokens)}, k=5, stopwords=[])
-        assert matrix.domains == ("a", "b")
-        assert matrix.values[0][0] == 100.0
-        assert matrix.values[0][1] == 100.0
-        assert matrix.values[1][0] == 100.0
+        assert matrix["domains"] == ["a", "b"]
+        assert matrix["values"][0][0] == 100.0
+        assert matrix["values"][0][1] == 100.0
+        assert matrix["values"][1][0] == 100.0
 
     def test_disjoint_vocabularies(self):
         matrix = vocab_overlap(
             {"a": ["guitar", "drum"], "b": ["election", "senate"]}, k=5, stopwords=[]
         )
-        assert matrix.values[0][1] == 0.0
-        assert matrix.values[0][0] == 100.0
+        assert matrix["values"][0][1] == 0.0
+        assert matrix["values"][0][0] == 100.0
 
     def test_toy_sixty_percent(self):
         # top-5 vocabularies share 3 words -> 60%
@@ -254,24 +254,24 @@ class TestVocabOverlap:
         corpus_a = [w for w, c in zip(a, counts_a) for _ in range(c)]
         corpus_b = [w for w, c in zip(b, counts_b) for _ in range(c)]
         matrix = vocab_overlap({"a": corpus_a, "b": corpus_b}, k=5, stopwords=[])
-        assert matrix.values[0][1] == 60.0
-        assert matrix.values[1][0] == 60.0
+        assert matrix["values"][0][1] == 60.0
+        assert matrix["values"][1][0] == 60.0
 
     def test_stopwords_and_punctuation_excluded(self):
         tokens = ["the", "of", ".", ",", "guitar"]
         matrix = vocab_overlap({"a": tokens, "b": ["guitar"]}, k=5)
-        assert matrix.values[0][1] == 100.0
+        assert matrix["values"][0][1] == 100.0
 
     def test_lowercasing(self):
         matrix = vocab_overlap({"a": ["Guitar"], "b": ["guitar"]}, k=5, stopwords=[])
-        assert matrix.values[0][1] == 100.0
+        assert matrix["values"][0][1] == 100.0
 
     def test_small_corpus_uses_all_words(self):
         # corpus with < k distinct words: denominator is its own vocab size
         matrix = vocab_overlap(
             {"a": ["x", "y"], "b": ["x", "z", "w", "v"]}, k=3, stopwords=[]
         )
-        assert matrix.values[0][1] == 50.0
+        assert matrix["values"][0][1] == 50.0
 
     def test_k_validation(self):
         # vocab_overlap trusts k: the parser checks --top-k.
@@ -297,4 +297,4 @@ class TestVocabOverlap:
     def test_default_stopwords_applied(self):
         assert "the" in DEFAULT_STOPWORDS
         matrix = vocab_overlap({"a": ["the", "guitar"], "b": ["guitar"]}, k=5)
-        assert matrix.values[0][1] == 100.0
+        assert matrix["values"][0][1] == 100.0

@@ -329,21 +329,20 @@ class TestLabeledSentence:
 
 class TestDatasetStats:
     def test_empty_split(self):
-        stats = dataset_stats([])
-        assert stats.sentence_count == 0
-        assert stats.per_type == {}
+        assert dataset_stats([]) == {"sentences": 0, "entities": {}}
 
     def test_hand_arithmetic(self):
         sentences = [
             make_labeled("Nirvana played Help", ["B-band", "O", "B-song"]),
             make_labeled("Yesterday charted", ["B-song", "O"]),
         ]
-        stats = dataset_stats(sentences)
-        assert stats.sentence_count == 2
-        count, pct = stats.per_type["band"]
-        assert (count, round(pct, 2)) == (1, 33.33)
-        count, pct = stats.per_type["song"]
-        assert (count, round(pct, 2)) == (2, 66.67)
+        assert dataset_stats(sentences) == {
+            "sentences": 2,
+            "entities": {
+                "band": {"count": 1, "percent": 33.33},
+                "song": {"count": 2, "percent": 66.67},
+            },
+        }
 
     def test_percentages_sum_to_hundred(self, rng):
         sentences = []
@@ -351,15 +350,15 @@ class TestDatasetStats:
             length = rng.randint(1, 10)
             tags = random_bio_tags(rng, length, ["x", "y", "z"])
             sentences.append(make_labeled(" ".join("w" for _ in range(length)), tags))
-        stats = dataset_stats(sentences)
-        if stats.per_type:
-            assert abs(sum(p for _, p in stats.per_type.values()) - 100) < 0.1
+        entities = dataset_stats(sentences)["entities"]
+        if entities:
+            assert abs(sum(e["percent"] for e in entities.values()) - 100) < 0.1
 
     def test_one_shot_iterator(self):
         sentences = [make_labeled("a b", ["B-x", "O"]), make_labeled("c", ["B-y"])]
         stats = dataset_stats(iter(sentences))
         assert stats == dataset_stats(sentences)
-        assert stats.sentence_count == 2
+        assert stats["sentences"] == 2
 
     def test_invariant_under_permutation(self):
         sentences = [
@@ -367,7 +366,7 @@ class TestDatasetStats:
             make_labeled("b c", ["B-y", "I-y"]),
             make_labeled("d", ["O"]),
         ]
-        assert dataset_stats(sentences).per_type == dataset_stats(sentences[::-1]).per_type
+        assert dataset_stats(sentences) == dataset_stats(sentences[::-1])
 
 
 class TestSubsample:

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ref_selector
 from conftest import assert_rejected, make_sentence, make_trie
 from xner.cli import run
 from xner.corpus import Document
 from xner.errors import DataError
+from xner.gazetteer import EntityMention
 from xner.pipelines import select_documents
 from xner.seeding import unit_interval
 from xner.selector import (
@@ -299,3 +302,68 @@ class TestSampleFraction:
         # sample_fraction trusts percent: the parser checks --percent.
         for percent in ("101", "-1", "nan"):
             assert_rejected("extract", "--percent", percent)
+
+
+_WORDS = ["Nirvana", "Kid", "A", "Seattle", "Kurt", "Cobain", "w"]
+_TYPES = ["band", "album", "location", "person", "musicalartist"]
+
+
+@st.composite
+def _selection_inputs(draw):
+    """Documents of random sentences (a token ending in "." ends one), and
+    either a random trie or a random external mention index over them."""
+    words = st.sampled_from(_WORDS + ["w."])
+    sentence = st.lists(words, min_size=3, max_size=8).map(" ".join)
+    documents = [
+        Document(f"d{i}", tuple(paragraphs))
+        for i, paragraphs in enumerate(draw(st.lists(
+            st.lists(sentence, min_size=1, max_size=3), min_size=1, max_size=4
+        )))
+    ]
+    if draw(st.booleans()):
+        surfaces = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(tuple)
+        entries = draw(st.dictionaries(
+            surfaces, st.frozensets(st.sampled_from(_TYPES), min_size=1), max_size=6
+        ))
+        gazetteer, mentions = make_trie(entries, {"musicalartist": "person"}), None
+    else:
+        # Some spans run past a short sentence's end.
+        mention = st.builds(
+            lambda start, length, entity_type: EntityMention(start, start + length, entity_type),
+            st.integers(0, 2), st.integers(1, 2), st.sampled_from(_TYPES),
+        )
+        keys = st.tuples(st.sampled_from([d.id for d in documents]), st.integers(0, 3))
+        index = draw(st.dictionaries(keys, st.lists(mention, max_size=4), max_size=8))
+        gazetteer = None
+        mentions = {
+            key: {m: f"m.jsonl:{line}" for line, m in enumerate(found, 1)}
+            for key, found in index.items()
+        }
+    cfg = SelectorConfig(
+        draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    )
+    specialized = draw(st.frozensets(st.sampled_from(_TYPES)))
+    percent = draw(st.one_of(st.none(), st.floats(0, 100)))
+    return documents, gazetteer, mentions, cfg, specialized, percent, draw(st.integers(0, 9))
+
+
+def _groups_or_error(select):
+    try:
+        return [list(group) for group in select()]
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("level", ["entity", "task", "integrated"])
+@settings(max_examples=150, deadline=None)
+@given(inputs=_selection_inputs())
+def test_select_documents_matches_two_pass_oracle(level, inputs):
+    documents, gazetteer, mentions, cfg, specialized, percent, seed = inputs
+    kwargs = dict(
+        mentions=mentions, specialized_types=specialized, percent=percent, seed=seed
+    )
+    assert _groups_or_error(
+        lambda: select_documents(documents, level, gazetteer, cfg, **kwargs)
+    ) == _groups_or_error(
+        lambda: ref_selector.select_groups(documents, level, gazetteer, cfg, **kwargs)
+    )
