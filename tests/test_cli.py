@@ -488,7 +488,10 @@ _OVERLAP_INPUTS = [
 # tests/data/summary.NAME.json and the command line that prints it.
 # json.loads would not see a change of key order, spacing or float form.
 # The files were written by the version whose ner-stats and overlap
-# summaries were SplitStats and OverlapMatrix records.
+# summaries were SplitStats and OverlapMatrix records, and whose eval
+# scores were EvalReport and TypeScore records.
+_EVAL_PRED = ["eval", "--gold", str(DATA_DIR / "eval_gold.conll"),
+              "--pred", str(DATA_DIR / "eval_pred.conll")]
 SUMMARY_GOLDENS = [
     ("stats_plain", ["stats", "--input", str(DATA_DIR / "extract_corpus.txt"), "--workers", "1"]),
     ("stats_plain", ["stats", "--input", str(DATA_DIR / "extract_corpus.txt"), "--workers", "2"]),
@@ -500,6 +503,14 @@ SUMMARY_GOLDENS = [
     ("overlap", _OVERLAP_INPUTS),
     ("overlap_stopwords", [*_OVERLAP_INPUTS, "--top-k", "12",
                            "--stopwords", str(DATA_DIR / "overlap_stopwords.txt")]),
+    ("eval_pred", _EVAL_PRED),
+    # 1 of the 14 gold albums is predicted as a person at the same span.
+    ("eval_album_person", [*_EVAL_PRED, "--misclassify", "album,person"]),
+    ("eval_person_person", [*_EVAL_PRED, "--misclassify", "person,person"]),
+    # The gold file has no song, so the rate is 0.0.
+    ("eval_song_band", [*_EVAL_PRED, "--misclassify", "song,band"]),
+    ("eval_pred_conlleval", ["eval", "--gold", str(DATA_DIR / "eval_gold.conll"),
+                             "--pred", str(DATA_DIR / "eval_pred_conlleval.conll")]),
 ]
 
 
