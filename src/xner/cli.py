@@ -190,7 +190,10 @@ def _output(path):
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # what open(path, "w") would create
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # as for mkstemp, report the output path
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -227,10 +230,10 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_extract(args) -> None:
-    specialized = _word_list(args.specialized) if args.specialized else ()
+    specialized = _word_list(args.specialized) if args.specialized is not None else ()
     if args.level != "entity" and not specialized:
         raise UsageError(f"--level {args.level} needs a non-empty --specialized list")
-    parent_of = load_hierarchy(args.hierarchy) if args.hierarchy else {}
+    parent_of = load_hierarchy(args.hierarchy) if args.hierarchy is not None else {}
     # The parser gives exactly one of --gazetteer and --mentions.
     gazetteer = load_gazetteer(args.gazetteer, parent_of) if args.mentions is None else None
     mentions = load_external_mentions(args.mentions) if args.mentions is not None else None
@@ -280,25 +283,15 @@ def _cmd_ner_stats(args) -> None:
 
 def _cmd_eval(args) -> None:
     report = score(parse_conll(args.gold), iter_conll(args.pred, strict=False))
-    summary = {
-        "precision": report.micro.precision,
-        "recall": report.micro.recall,
-        "f1": report.micro.f1,
-    }
+    summary = {key: report["micro"][key] for key in ("precision", "recall", "f1")}
     if args.misclassify:
         from_type, to_type = args.misclassify
         rate = misclassification_rate(report, from_type, to_type)
-        key = (
-            "correctly_classified_rate"
-            if from_type == to_type
-            else "misclassification_rate"
-        )
-        summary[key] = rate
-        summary["from"] = from_type
-        summary["to"] = to_type
-    if args.output:
+        key = "correctly_classified_rate" if from_type == to_type else "misclassification_rate"
+        summary |= {key: rate, "from": from_type, "to": to_type}
+    if args.output is not None:
         with _output(args.output) as fh:
-            json.dump(report.as_dict(), fh, ensure_ascii=False, indent=2)
+            json.dump(report, fh, ensure_ascii=False, indent=2)
         _log(f"wrote full report to {args.output}")
     _emit(summary)
 
@@ -309,12 +302,12 @@ def _cmd_overlap(args) -> None:
         if name in corpora:
             raise UsageError(f"--inputs repeats the name {name!r}")
         corpora[name] = corpus_tokens(load_corpus(path, args.format))
-    stopwords = _word_list(args.stopwords) if args.stopwords else None
+    stopwords = _word_list(args.stopwords) if args.stopwords is not None else None
     _emit(vocab_overlap(corpora, args.top_k, stopwords))
 
 
 def _cmd_pre_annotate(args) -> None:
-    parent_of = load_hierarchy(args.hierarchy) if args.hierarchy else {}
+    parent_of = load_hierarchy(args.hierarchy) if args.hierarchy is not None else {}
     gazetteer = load_gazetteer(args.gazetteer, parent_of)
     workers = _workers(args)
     with _output(args.output) as fh:

@@ -186,11 +186,11 @@ def load_corpus(path, format: str = "plain") -> Iterator[Document]:
     (paragraphs separated by newlines inside text); other keys are ignored.
     The CLI's parser limits format to these two.
     """
-    path = Path(path)
     return _load_jsonl(path) if format == "jsonl" else _load_plain(path)
 
 
-def _load_plain(path: Path) -> Iterator[Document]:
+def _load_plain(path) -> Iterator[Document]:
+    stem = Path(path).stem
     paragraphs: list[str] = []
     count = 0
     with open_text(path) as fh:
@@ -199,14 +199,14 @@ def _load_plain(path: Path) -> Iterator[Document]:
             if line.strip():
                 paragraphs.append(line)
             elif paragraphs:
-                yield Document(f"{path.stem}-{count:06d}", tuple(paragraphs))
+                yield Document(f"{stem}-{count:06d}", tuple(paragraphs))
                 count += 1
                 paragraphs = []
     if paragraphs:
-        yield Document(f"{path.stem}-{count:06d}", tuple(paragraphs))
+        yield Document(f"{stem}-{count:06d}", tuple(paragraphs))
 
 
-def _load_jsonl(path: Path) -> Iterator[Document]:
+def _load_jsonl(path) -> Iterator[Document]:
     for lineno, line in data_lines(path):
         try:
             record = json.loads(line)

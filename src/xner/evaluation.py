@@ -8,7 +8,7 @@ CoNLL-style entity-level matching, no partial credit).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from xner.errors import DataError
 from xner.masker import build_vocabulary
@@ -28,46 +28,25 @@ with you your
 """.split())
 
 
-class TypeScore(NamedTuple):
-    precision: float
-    recall: float
-    f1: float
-    gold: int
-    predicted: int
-    correct: int
-
-
-class EvalReport(NamedTuple):
-    micro: TypeScore
-    per_type: dict  # type -> TypeScore
-    confusion: dict  # (gold type, predicted type) -> count, exact-span only
-
-    def as_dict(self) -> dict:
-        return {
-            "micro": self.micro._asdict(),
-            "per_type": {t: s._asdict() for t, s in sorted(self.per_type.items())},
-            "confusion": [
-                {"gold": g, "predicted": p, "count": c}
-                for (g, p), c in sorted(self.confusion.items())
-            ],
-        }
-
-
-def _prf(correct: int, predicted: int, gold: int) -> TypeScore:
+def _prf(correct: int, predicted: int, gold: int) -> dict:
     p = correct / predicted if predicted else 0.0
     r = correct / gold if gold else 0.0
     f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return TypeScore(p, r, f1, gold, predicted, correct)
+    return {"precision": p, "recall": r, "f1": f1,
+            "gold": gold, "predicted": predicted, "correct": correct}
 
 
-def score(gold: Iterable, pred: Iterable) -> EvalReport:
-    """Micro and per-type precision/recall/F1 over exact (span, type) matches.
+def score(gold: Iterable, pred: Iterable) -> dict:
+    """Micro and per-type precision/recall/F1 over exact (span, type) matches,
+    as the report that eval --output writes: {"micro": scores, "per_type":
+    {type: scores}, "confusion": [{"gold": g, "predicted": p, "count": c}]},
+    types and (g, p) pairs sorted, scores being _prf's dicts. The confusion
+    list counts exact-span matches whose types differ.
 
     gold and pred yield sentences (.tokens, .tags) in the same order; a
     pred .where ("path:line") locates a token mismatch. pred is pulled one
     sentence per gold sentence, so it may be a one-shot iter_conll stream.
-    Both are chunked by entity_spans, as conlleval chunks them. The
-    confusion table counts exact-span matches whose types differ.
+    Both are chunked by entity_spans, as conlleval chunks them.
     """
     gold, pred = iter(gold), iter(pred)
     gold_counts: Counter = Counter()
@@ -96,27 +75,31 @@ def score(gold: Iterable, pred: Iterable) -> EvalReport:
     rest = sum(1 for _ in pred)
     if rest:
         raise DataError(f"gold has {n} sentences but pred has {n + rest}")
-    micro = _prf(
-        sum(correct_counts.values()),
-        sum(pred_counts.values()),
-        sum(gold_counts.values()),
-    )
-    per_type = {
-        t: _prf(correct_counts[t], pred_counts[t], gold_counts[t])
-        for t in set(gold_counts) | set(pred_counts)
+    totals = (sum(c.values()) for c in (correct_counts, pred_counts, gold_counts))
+    return {
+        "micro": _prf(*totals),
+        "per_type": {
+            t: _prf(correct_counts[t], pred_counts[t], gold_counts[t])
+            for t in sorted(gold_counts.keys() | pred_counts.keys())
+        },
+        "confusion": [
+            {"gold": g, "predicted": p, "count": c} for (g, p), c in sorted(confusion.items())
+        ],
     }
-    return EvalReport(micro, per_type, dict(confusion))
 
 
-def misclassification_rate(report: EvalReport, from_type: str, to_type: str) -> float:
+def misclassification_rate(report: dict, from_type: str, to_type: str) -> float:
     """Fraction of gold from_type mentions predicted as to_type at the
-    identical span. from_type == to_type measures correct classification."""
-    scores = report.per_type.get(from_type)
-    if scores is None or not scores.gold:
+    identical span, read from score's report. from_type == to_type
+    measures correct classification."""
+    scores = report["per_type"].get(from_type)
+    if scores is None or not scores["gold"]:
         return 0.0
     if from_type == to_type:
-        return scores.correct / scores.gold
-    return report.confusion.get((from_type, to_type), 0) / scores.gold
+        return scores["correct"] / scores["gold"]
+    count = sum(c["count"] for c in report["confusion"]
+                if (c["gold"], c["predicted"]) == (from_type, to_type))
+    return count / scores["gold"]
 
 
 def _is_punctuation(token: str) -> bool:

@@ -535,6 +535,50 @@ def test_ner_stats_of_a_lenient_prediction_file_is_data_error(capsys):
     assert err == f"xner: data error: {path}:3: invalid BIO tag 'I-album'\n"
 
 
+_CORPUS = str(DATA_DIR / "extract_corpus.txt")
+_GOLD = str(DATA_DIR / "eval_gold.conll")
+# One valid run of each command that names every path flag it takes.
+PATH_FLAG_RUNS = {
+    "stats": ["stats", "--input", _CORPUS, "--workers", "1"],
+    "extract": [*_extract_args("entity"), *_GAZETTEER_ARGS, "--input", _CORPUS,
+                "--workers", "1", "--output", "out"],
+    "extract-mentions": ["extract", "--level", "entity", "--input", _CORPUS, "--workers", "1",
+                         "--mentions", str(DATA_DIR / "extract_mentions.jsonl"), "--output", "out"],
+    "mask": ["mask", "--input", _CORPUS, "--workers", "1", "--output", "out"],
+    "ner-stats": ["ner-stats", "--input", _GOLD],
+    "eval": ["eval", "--gold", _GOLD, "--pred", _GOLD, "--output", "out"],
+    "overlap": ["overlap", "--inputs", f"a={_CORPUS}",
+                "--stopwords", str(DATA_DIR / "overlap_stopwords.txt")],
+    "pre-annotate": ["pre-annotate", *_GAZETTEER_ARGS, "--input", _CORPUS, "--workers", "1",
+                     "--output", "out"],
+    "subsample": ["subsample", "--input", _GOLD, "--n", "1", "--output", "out"],
+    "joint": ["joint", "--source", _GOLD, "--target", _GOLD, "--output", "out"],
+}
+PATH_FLAGS = {"--input", "--gazetteer", "--mentions", "--hierarchy", "--specialized",
+              "--stopwords", "--gold", "--pred", "--source", "--target", "--output"}
+
+
+@pytest.mark.parametrize("name, flag", [
+    pytest.param(name, flag, id=f"{name} {flag}")
+    for name, argv in PATH_FLAG_RUNS.items()
+    for flag in argv
+    if flag in PATH_FLAGS and (name != "extract-mentions" or flag == "--mentions")
+])
+def test_empty_path_is_a_missing_file(capsys, monkeypatch, tmp_path, name, flag):
+    # An empty path is given, not left out: it names no file, so the run
+    # fails as for any missing file and reports '' as the path.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = list(PATH_FLAG_RUNS[name])
+    argv[argv.index(flag) + 1] = ""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "xner: data error: [Errno 2] No such file or directory: ''"
+    assert os.listdir(tmp_path) == ["work"]
+    assert os.listdir(work) == []
+
+
 class TestMask:
     def test_mask_summary_and_output(self, capsys, tmp_path, music_corpus):
         out_path = tmp_path / "m.jsonl"
@@ -879,6 +923,23 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "--gold", str(gold), "--pred", str(pred))
         assert (code, out) == (2, "")
         assert err == f"xner: data error: {pred}:3: token mismatch at sentence 1\n"
+
+    @pytest.mark.parametrize("count", [19, 21], ids=["shorter", "longer"])
+    def test_sentence_count_mismatch_keeps_previous_report(self, capsys, tmp_path, count):
+        gold = DATA_DIR / "eval_gold.conll"
+        sentences = gold.read_text(encoding="utf-8").split("\n\n")[:-1]
+        assert len(sentences) == 20
+        pred = tmp_path / "p.conll"
+        pred.write_text("".join(s + "\n\n" for s in [*sentences, "extra O"][:count]))
+        report = tmp_path / "report.json"
+        report.write_bytes(b"previous report\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--gold", str(gold), "--pred", str(pred), "--output", str(report),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"xner: data error: gold has 20 sentences but pred has {count}\n"
+        assert report.read_bytes() == b"previous report\n"
+        assert sorted(os.listdir(tmp_path)) == ["p.conll", "report.json"]
 
 
 class TestNerStatsSubsampleJoint:

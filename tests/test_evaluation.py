@@ -74,71 +74,63 @@ def ill_formed_pred(rng, gold):
 
 def assert_matches_conlleval(report, gold, pred):
     ref = ref_evaluate([s.tags for s in gold], [s.tags for s in pred])
-    assert report.micro.precision == pytest.approx(ref["micro"]["precision"])
-    assert report.micro.recall == pytest.approx(ref["micro"]["recall"])
-    assert report.micro.f1 == pytest.approx(ref["micro"]["f1"])
+    assert report["micro"] == pytest.approx(ref["micro"])
+    assert report["per_type"].keys() == ref["per_type"].keys()
     for t, scores in ref["per_type"].items():
-        assert report.per_type[t].f1 == pytest.approx(scores["f1"])
-        assert (report.per_type[t].gold, report.per_type[t].predicted,
-                report.per_type[t].correct) == (
-            scores["gold"], scores["predicted"], scores["correct"],
-        )
+        assert report["per_type"][t] == pytest.approx(scores)
 
 
 class TestScore:
     def test_perfect_prediction(self):
         gold = [make_labeled("Nirvana played Help", ["B-band", "O", "B-song"])]
         report = score(gold, gold)
-        assert (report.micro.precision, report.micro.recall, report.micro.f1) == (1, 1, 1)
+        assert report["micro"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0,
+                                   "gold": 2, "predicted": 2, "correct": 2}
 
     def test_half_correct_fixture(self):
         gold = [make_labeled("a b c d", ["B-x", "O", "B-y", "O"])]
         pred = [make_labeled("a b c d", ["B-x", "O", "O", "B-y"])]
         report = score(gold, pred)
-        assert report.micro.precision == 0.5
-        assert report.micro.recall == 0.5
-        assert report.micro.f1 == 0.5
+        assert report["micro"] == {"precision": 0.5, "recall": 0.5, "f1": 0.5,
+                                   "gold": 2, "predicted": 2, "correct": 1}
 
     def test_span_match_wrong_type_is_incorrect_and_confused(self):
         gold = [make_labeled("Kurt Cobain sang", ["B-person", "I-person", "O"])]
         pred = [make_labeled("Kurt Cobain sang", ["B-artist", "I-artist", "O"])]
         report = score(gold, pred)
-        assert report.micro.correct == 0
-        assert report.confusion == {("person", "artist"): 1}
+        assert report["micro"]["correct"] == 0
+        assert report["confusion"] == [{"gold": "person", "predicted": "artist", "count": 1}]
 
     def test_partial_span_no_credit(self):
         gold = [make_labeled("New York City", ["B-loc", "I-loc", "I-loc"])]
         pred = [make_labeled("New York City", ["B-loc", "I-loc", "O"])]
         report = score(gold, pred)
-        assert report.micro.correct == 0
-        assert report.confusion == {}
+        assert report["micro"]["correct"] == 0
+        assert report["confusion"] == []
 
     def test_per_type_sums_to_micro(self, rng):
         for _ in range(50):
             gold, pred = random_pair(rng)
             report = score(gold, pred)
-            assert sum(s.correct for s in report.per_type.values()) == report.micro.correct
-            assert sum(s.gold for s in report.per_type.values()) == report.micro.gold
-            assert sum(s.predicted for s in report.per_type.values()) == report.micro.predicted
+            for key in ("correct", "gold", "predicted"):
+                assert sum(s[key] for s in report["per_type"].values()) == report["micro"][key]
 
     def test_precision_recall_swap_symmetry(self, rng):
         gold, pred = random_pair(rng)
         forward = score(gold, pred)
         backward = score(pred, gold)
-        assert forward.micro.precision == backward.micro.recall
-        assert forward.micro.recall == backward.micro.precision
+        assert forward["micro"]["precision"] == backward["micro"]["recall"]
+        assert forward["micro"]["recall"] == backward["micro"]["precision"]
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(1000):
             gold, pred = random_pair(rng, n_sentences=rng.randint(1, 5), max_len=10)
             report = score(gold, pred)
             p, r, f1, n_gold, n_pred, correct = oracle_score(gold, pred)
-            assert report.micro.precision == pytest.approx(p)
-            assert report.micro.recall == pytest.approx(r)
-            assert report.micro.f1 == pytest.approx(f1)
-            assert (report.micro.gold, report.micro.predicted, report.micro.correct) == (
-                n_gold, n_pred, correct,
-            )
+            assert report["micro"] == pytest.approx({
+                "precision": p, "recall": r, "f1": f1,
+                "gold": n_gold, "predicted": n_pred, "correct": correct,
+            })
 
     def test_matches_reference_chunk_scorer(self, rng):
         for _ in range(200):
