@@ -460,6 +460,16 @@ GAZETTEER_GOLDENS = {
     "pre_annotate.conll": (
         ["pre-annotate", *_GAZETTEER_ARGS], {"sentences": 22, "review_flags": 0}
     ),
+} | {
+    # A surface with two types that a later row extends (Obama: person and
+    # politician, then Obama's speech), so its types are resolved under a
+    # node that was a leaf when they were merged.
+    f"pre_annotate_extended{suffix}.conll": (
+        ["pre-annotate", "--gazetteer", str(DATA_DIR / "extract_gazetteer_extended.tsv"),
+         *hierarchy],
+        {"sentences": 22, "review_flags": 0},
+    )
+    for suffix, hierarchy in [("", []), ("_hierarchy", _GAZETTEER_ARGS[2:])]
 }
 
 
@@ -467,7 +477,8 @@ GAZETTEER_GOLDENS = {
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_gazetteer_golden_bytes(capsys, tmp_path, name, workers):
     # The expected files were written by the version whose gazetteer was a
-    # Gazetteer object over a TypeHierarchy.
+    # Gazetteer object over a TypeHierarchy; the pre_annotate_extended ones,
+    # added later, by the trie-dict gazetteer.
     argv, summary = GAZETTEER_GOLDENS[name]
     out_path = tmp_path / "out"
     code, out, _ = run_cli(
