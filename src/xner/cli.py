@@ -18,7 +18,7 @@ import os
 import stat
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import count
 from pathlib import Path
 
@@ -173,7 +173,8 @@ def _output(path):
         with open(os.dup(1), "w", encoding="utf-8") as fh:
             yield fh
         return
-    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+    # "" fails in open() at once; mkstemp would write beside the working directory.
+    if not path or os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
@@ -266,10 +267,10 @@ def _cmd_mask(args) -> None:
     # ROADMAP) would make this check unnecessary.
     if not stat.S_ISREG(os.stat(args.input).st_mode):
         raise DataError(f"{args.input}: mask reads its input twice; give a regular file")
-    _log("building replacement vocabulary")
-    tokens = corpus_tokens(load_corpus(args.input, args.format))
-    vocabulary = build_vocabulary(tokens, args.vocab_size)
     with _output(args.output) as fh:
+        _log("building replacement vocabulary")
+        tokens = corpus_tokens(load_corpus(args.input, args.format))
+        vocabulary = build_vocabulary(tokens, args.vocab_size)
         examples, targets = write_masked(
             load_corpus(args.input, args.format), cfg, vocabulary, fh, workers
         )
@@ -282,17 +283,18 @@ def _cmd_ner_stats(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    report = score(parse_conll(args.gold), iter_conll(args.pred, strict=False))
+    with _output(args.output) if args.output is not None else nullcontext() as fh:
+        report = score(parse_conll(args.gold), iter_conll(args.pred, strict=False))
+        if fh is not None:
+            json.dump(report, fh, ensure_ascii=False, indent=2)
+    if fh is not None:
+        _log(f"wrote full report to {args.output}")
     summary = {key: report["micro"][key] for key in ("precision", "recall", "f1")}
     if args.misclassify:
         from_type, to_type = args.misclassify
         rate = misclassification_rate(report, from_type, to_type)
         key = "correctly_classified_rate" if from_type == to_type else "misclassification_rate"
         summary |= {key: rate, "from": from_type, "to": to_type}
-    if args.output is not None:
-        with _output(args.output) as fh:
-            json.dump(report, fh, ensure_ascii=False, indent=2)
-        _log(f"wrote full report to {args.output}")
     _emit(summary)
 
 
@@ -328,13 +330,13 @@ def _cmd_subsample(args) -> None:
         (stable_hash(args.seed, "", i), i, s.lines)
         for s, i in zip(iter_conll(args.input), ordinals)
     )
-    kept = heapq.nsmallest(args.n, keyed)
-    for _ in keyed:  # --n 0 takes nothing, but every sentence is still read
-        pass
-    total = next(ordinals)
-    if args.n > total:
-        raise UsageError(f"--n must be in [0, {total}]")
     with _output(args.output) as fh:
+        kept = heapq.nsmallest(args.n, keyed)
+        for _ in keyed:  # --n 0 takes nothing, but every sentence is still read
+            pass
+        total = next(ordinals)
+        if args.n > total:
+            raise UsageError(f"--n must be in [0, {total}]")
         for _, _, lines in sorted(kept, key=lambda k: k[1]):
             fh.write(lines + "\n")
     _emit({"sampled": args.n, "from": total, "seed": args.seed})

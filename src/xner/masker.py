@@ -3,9 +3,9 @@
 Token-level masking is the classic scheme: 15% of positions are chosen,
 then each becomes [MASK] with probability 0.8, a random vocabulary token
 with 0.1, or stays unchanged with 0.1. Span-level masking keeps the same
-budget but first migrates isolated masked indices next to other masked
-positions so the masks form longer contiguous spans; already-contiguous
-masked runs are never touched.
+budget but first moves each isolated masked index onto the free cell
+beside its nearest masked partner, on its own side, so the masks form
+longer contiguous spans; already-contiguous masked runs are never touched.
 """
 
 from __future__ import annotations
@@ -58,26 +58,20 @@ def mask_budget(length: int, mask_rate: float) -> int:
 def select_mask_indices(
     length: int, cfg: MaskingConfig, rng: random.Random
 ) -> set[int]:
-    """Uniformly random index subset of size mask_budget(length, rate)."""
-    if length < 2:
-        raise ValueError(f"sentence length must be >= 2, got {length}")
+    """Uniformly random index subset of size mask_budget(length, rate); length >= 2."""
     return set(rng.sample(range(length), mask_budget(length, cfg.mask_rate)))
 
 
-def spanify(masked: Iterable[int], length: int) -> set[int]:
+def spanify(masked: Iterable[int]) -> set[int]:
     """Migrate isolated masked indices next to other masked positions.
 
     Runs of length >= 2 are never touched. Initially-isolated indices are
-    visited left to right; each one still isolated is moved to the free
-    position adjacent to its nearest partner's current run, on the side
-    facing it (distance ties go to the right partner). If that position
-    is unavailable the opposite side of the run is used; if both are
-    blocked the index stays put. The mask count is always preserved.
+    visited left to right; each one still isolated moves onto the cell
+    beside its nearest partner, on its own side (distance ties go to the
+    right partner). No cell between the two is masked, so that cell is free
+    and in range. The mask count is always preserved.
     """
     current = set(masked)
-    if current and (min(current) < 0 or max(current) >= length):
-        bad = min(current) if min(current) < 0 else max(current)
-        raise ValueError(f"mask index {bad} out of range for length {length}")
     isolated = [i for i in sorted(current) if i - 1 not in current and i + 1 not in current]
     for i in isolated:
         if i - 1 in current or i + 1 in current:
@@ -85,22 +79,10 @@ def spanify(masked: Iterable[int], length: int) -> set[int]:
         if len(current) == 1:
             break
         current.discard(i)  # i has no neighbor, so the others keep their runs
-        d = 1  # the nearest partner; distance ties go to the right
+        d = 2  # the nearest partner; distance ties go to the right
         while i + d not in current and i - d not in current:
             d += 1
-        partner = i + d if i + d in current else i - d
-        lo, hi = partner, partner
-        while lo - 1 in current:
-            lo -= 1
-        while hi + 1 in current:
-            hi += 1
-        facing, opposite = (lo - 1, hi + 1) if i < lo else (hi + 1, lo - 1)
-        for target in (facing, opposite):
-            if 0 <= target < length and target not in current:
-                current.add(target)
-                break
-        else:
-            current.add(i)
+        current.add(i + d - 1 if i + d in current else i - d + 1)
     return current
 
 
@@ -119,9 +101,6 @@ def apply_replacements(
     (below MASK_TOKEN_PROB + RANDOM_TOKEN_PROB) or its original text.
     """
     positions = sorted(set(indices))
-    if positions and (positions[0] < 0 or positions[-1] >= len(tokens)):
-        bad = next(p for p in positions if not 0 <= p < len(tokens))
-        raise ValueError(f"target position {bad} out of range")
     output = list(tokens)
     targets = []
     roll = rng.random
@@ -159,7 +138,7 @@ def mask_corpus(
         rng.seed(stable_hash(cfg.seed, doc_id, index))
         indices = select_mask_indices(len(tokens), cfg, rng)
         if cfg.strategy == "span":
-            indices = spanify(indices, len(tokens))
+            indices = spanify(indices)
         yield apply_replacements(tokens, indices, rng, vocabulary, doc_id, index)
 
 

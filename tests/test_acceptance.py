@@ -52,7 +52,7 @@ def test_01_span_migration_worked_example():
                  "the country 's sphere").split()
         assert len(words) == 12
         start = time.perf_counter()
-        migrated = spanify({4, 10}, 12)
+        migrated = spanify({4, 10})
         elapsed = time.perf_counter() - start
         assert migrated == {9, 10}
         # render with every roll a mask to pin the surface form
@@ -72,7 +72,7 @@ def test_02_masking_invariants_property_suite():
             length = rng.randint(2, 64)
             k = rng.randint(1, length)
             before = set(rng.sample(range(length), k))
-            after = spanify(before, length)
+            after = spanify(before)
             check_spanify_postconditions(before, after, length)
         elapsed = time.perf_counter() - start
         assert elapsed < 30

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import multiprocessing
@@ -18,7 +19,7 @@ from conftest import REQUIRED_ARGS
 from ref_conlleval import evaluate as ref_evaluate
 from ref_nerdata import build_joint, serialize_conll, subsample
 from xner import pipelines
-from xner.cli import run
+from xner.cli import _output, run
 from xner.nerdata import dataset_stats, parse_conll
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -285,6 +286,14 @@ class TestExtract:
         )
         assert code == 2
         assert f"data error: {mentions}:1: bad mention record: doc_id must be a string" in err
+
+    def test_external_mention_with_an_empty_span_is_data_error(self, capsys, tmp_path):
+        code, out, err, mentions = self._extract_with_mentions(capsys, tmp_path, [
+            '{"doc_id": "c-000000", "sentence_index": 0, "start": 2, "end": 2, "type": "band"}',
+        ])
+        assert (code, out) == (2, "")
+        assert err == f"xner: data error: {mentions}:1: bad mention record: bad span [2, 2)\n"
+        assert not (tmp_path / "e.txt").exists()
 
     def test_repeated_external_mention_counts_once(self, capsys, tmp_path):
         record = '{"doc_id": "c-000000", "sentence_index": 0, "start": 0, "end": 1, "type": "band"}'
@@ -590,6 +599,39 @@ def test_empty_path_is_a_missing_file(capsys, monkeypatch, tmp_path, name, flag)
     assert os.listdir(work) == []
 
 
+@pytest.mark.parametrize("output", ["", "missing/out"], ids=["empty", "missing-directory"])
+@pytest.mark.parametrize("name", ["extract", "mask", "pre-annotate", "subsample", "joint", "eval"])
+def test_unwritable_output_fails_first(capsys, monkeypatch, tmp_path, name, output):
+    # The output is opened before the input is read, so its error is the
+    # only line on stderr: no progress line comes before it, and nothing
+    # is written anywhere.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    path = output and str(tmp_path / output)
+    argv = list(PATH_FLAG_RUNS[name])
+    argv[argv.index("--output") + 1] = path
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"xner: data error: [Errno 2] No such file or directory: {path!r}\n"
+    assert os.listdir(tmp_path) == ["work"]
+    assert os.listdir(work) == []
+
+
+def test_empty_output_path_fails_at_once(monkeypatch, tmp_path):
+    # os.path.abspath("") is the working directory, so a temporary file
+    # for "" would be made in its parent.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(FileNotFoundError) as info:
+        with _output(""):
+            pytest.fail("_output('') gave a file")
+    assert (info.value.errno, info.value.filename) == (errno.ENOENT, "")
+    assert os.listdir(tmp_path) == ["work"]
+    assert os.listdir(work) == []
+
+
 class TestMask:
     def test_mask_summary_and_output(self, capsys, tmp_path, music_corpus):
         out_path = tmp_path / "m.jsonl"
@@ -660,6 +702,20 @@ class TestMask:
         assert code == 0
         assert json.loads(out) == {"strategy": strategy, "sentences": 6, "targets": 30}
         assert out_path.read_bytes() == (DATA_DIR / f"mask_corpus.{strategy}.jsonl").read_bytes()
+
+    def test_one_token_sentences_are_never_masked(self, capsys, tmp_path):
+        # Even at --min-len 1, a sentence needs 2 tokens to be masked.
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("Hello\nWow\n\nNirvana played.\n")
+        out_path = tmp_path / "m.jsonl"
+        code, out, _ = run_cli(
+            capsys, "mask", "--min-len", "1", "--input", str(corpus),
+            "--output", str(out_path), "--workers", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["sentences"] == 1
+        [record] = map(json.loads, out_path.read_text().splitlines())
+        assert (record["doc_id"], record["sentence_index"]) == ("c-000001", 0)
 
     def test_bad_rate_is_usage_error(self, capsys, tmp_path, music_corpus):
         code, _, err = run_cli(
@@ -1322,6 +1378,18 @@ class TestOverlapAndPreAnnotate:
         assert code == 2
         assert out == ""
         assert f"{gazetteer}:1: expected 'surface<TAB>type', one-word type" in err
+        assert not out_path.exists()
+
+    def test_pre_annotate_blank_surface_is_data_error(self, capsys, tmp_path, music_corpus):
+        gazetteer = tmp_path / "g.tsv"
+        gazetteer.write_text("Nirvana\tband\n \tband\n")
+        out_path = tmp_path / "pre.conll"
+        code, out, err = run_cli(
+            capsys, "pre-annotate", "--input", str(music_corpus),
+            "--gazetteer", str(gazetteer), "--output", str(out_path), "--workers", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"xner: data error: {gazetteer}:2: empty surface form\n"
         assert not out_path.exists()
 
     def test_pre_annotate_workers_byte_identical(
