@@ -17,7 +17,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from contextlib import contextmanager, nullcontext
 from itertools import count
 from pathlib import Path
@@ -71,11 +70,17 @@ def _pair(separator, form):
     return parse
 
 
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_corpus_args(p):
     p.add_argument("--input", required=True, help="corpus file")
     p.add_argument("--format", choices=("plain", "jsonl"), default="plain")
-    p.add_argument("--workers", type=_POSITIVE, default=None,
-                   help="worker processes (default: XNER_WORKERS or the CPUs xner may use)")
+    p.add_argument("--workers", type=_POSITIVE, default=_cpus(),
+                   help="worker processes (default: the CPUs xner may use)")
 
 
 def build_parser() -> _Parser:
@@ -162,8 +167,9 @@ def _emit(summary: dict) -> None:
 def _output(path):
     """A UTF-8 text file that replaces path when the block succeeds.
 
-    It is written as a temporary file in path's directory; on any error
-    that file is removed and path is left untouched. A symlink, device
+    It is written as the temporary file .NAME.<hex>.tmp beside path as
+    given, made before the command reads any input; on any error that
+    file is removed and path is left untouched. A symlink, device
     or pipe (such as /dev/stdout) is written through, in place; the
     regular file that stdout is redirected to is written through stdout's
     own file description, so the data and then the summary land in order.
@@ -173,27 +179,25 @@ def _output(path):
         with open(os.dup(1), "w", encoding="utf-8") as fh:
             yield fh
         return
-    # "" fails in open() at once; mkstemp would write beside the working directory.
+    # "" fails in open() at once; as a directory and a name it would fail
+    # only at the rename.
     if not path or os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
+    # From the path as given, "missing/" and "afile/" fail here, not at the rename.
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{os.path.basename(path)}.", suffix=".tmp",
-            dir=os.path.dirname(os.path.abspath(path)),
-        )
+        fh = open(tmp, "x", encoding="utf-8")  # the mode open(path, "w") would give
     except OSError as exc:  # it names the temporary file; report the output path
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
+        with fh:
             yield fh
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # what open(path, "w") would create
         try:
             os.replace(tmp, path)
-        except OSError as exc:  # as for mkstemp, report the output path
+        except OSError as exc:  # as for the create, report the output path
             raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
@@ -208,48 +212,35 @@ def _is_stdout_file(path) -> bool:
     return stat.S_ISREG(out.st_mode) and os.path.samestat(out, target)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:  # the parser makes it >= 1
-        return args.workers
-    env = os.environ.get("XNER_WORKERS")
-    if env:
-        if not (env.strip().isdecimal() and int(env) >= 1):
-            raise UsageError(f"XNER_WORKERS must be a positive integer, got {env!r}")
-        return int(env)
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _word_list(path) -> list[str]:
     return [line.strip() for _, line in data_lines(path)]
 
 
 def _cmd_stats(args) -> None:
-    stats = stats_documents(load_corpus(args.input, args.format), _workers(args))
+    stats = stats_documents(load_corpus(args.input, args.format), args.workers)
     _emit(stats._asdict())
 
 
 def _cmd_extract(args) -> None:
-    specialized = _word_list(args.specialized) if args.specialized is not None else ()
-    if args.level != "entity" and not specialized:
-        raise UsageError(f"--level {args.level} needs a non-empty --specialized list")
-    parent_of = load_hierarchy(args.hierarchy) if args.hierarchy is not None else {}
-    # The parser gives exactly one of --gazetteer and --mentions.
-    gazetteer = load_gazetteer(args.gazetteer, parent_of) if args.mentions is None else None
-    mentions = load_external_mentions(args.mentions) if args.mentions is not None else None
-    groups = select_documents(
-        load_corpus(args.input, args.format),
-        args.level,
-        gazetteer,
-        SelectorConfig(args.min_mentions, args.min_specialized, args.upsample),
-        mentions=mentions,
-        specialized_types=specialized,
-        percent=args.percent,
-        seed=args.seed,
-        workers=_workers(args),
-    )
     with _output(args.output) as fh:
+        specialized = _word_list(args.specialized) if args.specialized is not None else ()
+        if args.level != "entity" and not specialized:
+            raise UsageError(f"--level {args.level} needs a non-empty --specialized list")
+        parent_of = load_hierarchy(args.hierarchy) if args.hierarchy is not None else {}
+        # The parser gives exactly one of --gazetteer and --mentions.
+        gazetteer = load_gazetteer(args.gazetteer, parent_of) if args.mentions is None else None
+        mentions = load_external_mentions(args.mentions) if args.mentions is not None else None
+        groups = select_documents(
+            load_corpus(args.input, args.format),
+            args.level,
+            gazetteer,
+            SelectorConfig(args.min_mentions, args.min_specialized, args.upsample),
+            mentions=mentions,
+            specialized_types=specialized,
+            percent=args.percent,
+            seed=args.seed,
+            workers=args.workers,
+        )
         sentences, tokens = write_groups(groups, fh)
     _log(f"wrote {sentences} sentences to {args.output}")
     _emit({"level": args.level, "sentences": sentences, "tokens": tokens})
@@ -257,22 +248,21 @@ def _cmd_extract(args) -> None:
 
 def _cmd_mask(args) -> None:
     cfg = MaskingConfig(args.rate, args.strategy, args.seed, args.min_len)
-    workers = _workers(args)
     # Each line holds its document's id, which starts with a plain file's stem.
     if args.format == "plain" and LONE_SURROGATE.search(Path(args.input).stem):
         name = os.fsencode(args.input).decode(errors="backslashreplace")
         raise DataError(f"{name}: the file name is not valid UTF-8")
-    # The vocabulary pass and the masking pass each read the input, and a
-    # pipe reads empty the second time. One tokenizer pass per run (see
-    # ROADMAP) would make this check unnecessary.
-    if not stat.S_ISREG(os.stat(args.input).st_mode):
-        raise DataError(f"{args.input}: mask reads its input twice; give a regular file")
     with _output(args.output) as fh:
+        # The vocabulary pass and the masking pass each read the input, and
+        # a pipe reads empty the second time. One tokenizer pass per run
+        # (see ROADMAP) would make this check unnecessary.
+        if not stat.S_ISREG(os.stat(args.input).st_mode):
+            raise DataError(f"{args.input}: mask reads its input twice; give a regular file")
         _log("building replacement vocabulary")
         tokens = corpus_tokens(load_corpus(args.input, args.format))
         vocabulary = build_vocabulary(tokens, args.vocab_size)
         examples, targets = write_masked(
-            load_corpus(args.input, args.format), cfg, vocabulary, fh, workers
+            load_corpus(args.input, args.format), cfg, vocabulary, fh, args.workers
         )
     _log(f"wrote {examples} examples to {args.output}")
     _emit({"strategy": args.strategy, "sentences": examples, "targets": targets})
@@ -309,12 +299,11 @@ def _cmd_overlap(args) -> None:
 
 
 def _cmd_pre_annotate(args) -> None:
-    parent_of = load_hierarchy(args.hierarchy) if args.hierarchy is not None else {}
-    gazetteer = load_gazetteer(args.gazetteer, parent_of)
-    workers = _workers(args)
     with _output(args.output) as fh:
+        parent_of = load_hierarchy(args.hierarchy) if args.hierarchy is not None else {}
+        gazetteer = load_gazetteer(args.gazetteer, parent_of)
         sentences = write_pre_annotated(
-            load_corpus(args.input, args.format), gazetteer, fh, workers
+            load_corpus(args.input, args.format), gazetteer, fh, args.workers
         )
     _log(f"pre-annotated {sentences} sentences to {args.output}")
     # "review_flags" is always 0; it stays because bench/run.py checks this exact summary.
@@ -346,9 +335,9 @@ def _cmd_joint(args) -> None:
     """The source's sentences as they stream in, then the target's
     --multiplier times, each as its lines then one blank line. The target
     is read, and so checked, before any output is written."""
-    target = [s.lines + "\n" for s in iter_conll(args.target)]
     source = 0
     with _output(args.output) as fh:
+        target = [s.lines + "\n" for s in iter_conll(args.target)]
         for source, s in enumerate(iter_conll(args.source), 1):
             fh.write(s.lines + "\n")
         for _ in range(args.multiplier):

@@ -77,6 +77,7 @@ REQUIRED_ARGS = {
     "mask": ["--input", "missing", "--output", "out"],
     "eval": ["--gold", "missing", "--pred", "missing"],
     "overlap": ["--inputs", "a=missing"],
+    "pre-annotate": ["--input", "missing", "--gazetteer", "missing", "--output", "out"],
     "subsample": ["--input", "missing", "--output", "out"],
     "joint": ["--source", "missing", "--target", "missing", "--output", "out"],
 }

@@ -9,7 +9,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -137,23 +139,9 @@ class TestStats:
         assert f"{path}:1: invalid JSON" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value, message", [
-        ("abc", "XNER_WORKERS must be a positive integer, got 'abc'"),
-        ("0", "XNER_WORKERS must be a positive integer, got '0'"),
-    ])
-    def test_bad_xner_workers_is_usage_error(
-        self, capsys, monkeypatch, music_corpus, value, message
-    ):
-        monkeypatch.setenv("XNER_WORKERS", value)
-        code, out, err = run_cli(capsys, "stats", "--input", str(music_corpus))
-        assert code == 1
-        assert out == ""
-        assert err == f"xner: usage error: {message}\n"
-
     def test_default_workers_are_the_cpus_this_process_may_use(
         self, capsys, monkeypatch, music_corpus
     ):
-        monkeypatch.delenv("XNER_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         calls = []
@@ -599,22 +587,34 @@ def test_empty_path_is_a_missing_file(capsys, monkeypatch, tmp_path, name, flag)
     assert os.listdir(work) == []
 
 
-@pytest.mark.parametrize("output", ["", "missing/out"], ids=["empty", "missing-directory"])
+_NO_FILE = "[Errno 2] No such file or directory"
+
+
+@pytest.mark.parametrize("output, error", [
+    pytest.param("", _NO_FILE, id="empty"),
+    pytest.param("missing/out", _NO_FILE, id="missing-directory"),
+    # A trailing slash fails when the temporary file is made, not at the rename.
+    pytest.param("missing/", _NO_FILE, id="missing-directory-slash"),
+    pytest.param("file/", "[Errno 20] Not a directory", id="file-slash"),
+])
 @pytest.mark.parametrize("name", ["extract", "mask", "pre-annotate", "subsample", "joint", "eval"])
-def test_unwritable_output_fails_first(capsys, monkeypatch, tmp_path, name, output):
-    # The output is opened before the input is read, so its error is the
-    # only line on stderr: no progress line comes before it, and nothing
-    # is written anywhere.
+def test_unwritable_output_fails_first(capsys, monkeypatch, tmp_path, name, output, error):
+    # Every input is missing too. The output is made before any input is
+    # opened, so its error is the only line on stderr: no progress line
+    # comes before it, and nothing is written anywhere.
     work = tmp_path / "work"
     work.mkdir()
+    (tmp_path / "file").write_text("previous\n")
     monkeypatch.chdir(work)
-    path = output and str(tmp_path / output)
-    argv = list(PATH_FLAG_RUNS[name])
-    argv[argv.index("--output") + 1] = path
+    path = output and os.path.join(tmp_path, output)  # which keeps a trailing slash
+    argv = [name, *REQUIRED_ARGS[name], "--output", path]
+    if name == "subsample":  # REQUIRED_ARGS leaves --n to the flag-value test
+        argv += ["--n", "1"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"xner: data error: [Errno 2] No such file or directory: {path!r}\n"
-    assert os.listdir(tmp_path) == ["work"]
+    assert err == f"xner: data error: {error}: {path!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["file", "work"]
+    assert (tmp_path / "file").read_text() == "previous\n"
     assert os.listdir(work) == []
 
 
@@ -1463,6 +1463,47 @@ class TestImportFootprint:
         ) == "['concurrent.futures.process']"
 
 
+START_METHODS = multiprocessing.get_all_start_methods()
+
+
+def _start_pools_with(monkeypatch, method):
+    """Make every pool that the CLI starts use the given start method."""
+    monkeypatch.setattr(
+        pipelines, "ProcessPoolExecutor",
+        partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)),
+        raising=False,
+    )
+
+
+# Pooled runs of extract_corpus.txt (11 documents) and mask_corpus.txt (2).
+POOLED_RUNS = {
+    "stats": ["stats", "--input", _CORPUS],
+    "extract": [*GAZETTEER_GOLDENS["integrated.txt"][0], "--input", _CORPUS, "--output", "out"],
+    "mask": ["mask", "--strategy", "span", "--seed", "11", "--rate", "0.3",
+             "--input", str(DATA_DIR / "mask_corpus.txt"), "--output", "out"],
+    "pre-annotate": [*GAZETTEER_GOLDENS["pre_annotate.conll"][0], "--input", _CORPUS,
+                     "--output", "out"],
+}
+
+
+@pytest.mark.parametrize("name", POOLED_RUNS)
+@pytest.mark.parametrize("method", START_METHODS)
+def test_pooled_bytes_under_every_start_method(capsys, monkeypatch, tmp_path, method, name):
+    # One-document chunks: every document is a pool task, and the summary
+    # and output bytes are those of one worker however the pool starts.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pipelines, "CHUNK_CHARS", 1)
+    _start_pools_with(monkeypatch, method)
+    out_path = tmp_path / "out"
+    runs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, *POOLED_RUNS[name], "--workers", workers)
+        assert code == 0
+        runs.append((out, None if name == "stats" else out_path.read_bytes()))
+        out_path.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+
+
 @pytest.fixture
 def third_record_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
@@ -1472,7 +1513,9 @@ def third_record_malformed(tmp_path):
     return path
 
 
-def _die(*args, **kwargs):
+def _die(marker, *args, **kwargs):
+    """Leave marker, so a test can tell this death from one at start-up."""
+    Path(marker).touch()
     os._exit(1)
 
 
@@ -1622,14 +1665,15 @@ class TestFailedRuns:
             assert lines.pop(0) == '{"previous": "line"}\n'
         assert "".join(lines) == expected.read_text() + summary
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched worker reaches pool processes only when they fork",
-    )
+    @pytest.mark.parametrize("method", START_METHODS)
     def test_crashed_worker_exits_2_in_one_line(
-        self, capsys, monkeypatch, tmp_path, music_corpus
+        self, capsys, monkeypatch, tmp_path, music_corpus, method
     ):
-        monkeypatch.setattr(pipelines, "_mask_doc", _die)
+        # The patched worker reaches a process that does not fork through
+        # the pool initializer's arguments, as a reference to this module.
+        marker = tmp_path / "died"
+        monkeypatch.setattr(pipelines, "_mask_doc", partial(_die, str(marker)))
+        _start_pools_with(monkeypatch, method)
         out = self._previous_output(tmp_path)
         code, _, err = run_cli(
             capsys, "mask", "--input", str(music_corpus), "--workers", "2",
@@ -1639,6 +1683,7 @@ class TestFailedRuns:
         assert err.count("\n") == 2  # the vocabulary log line and the error
         assert "xner: worker process died:" in err
         assert "Traceback" not in err
+        assert marker.exists()
         self._assert_untouched(out)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
