@@ -213,7 +213,15 @@ def _is_stdout_file(path) -> bool:
 
 
 def _word_list(path) -> list[str]:
-    return [line.strip() for _, line in data_lines(path)]
+    """One word per non-blank line; no type or token holds whitespace, so a
+    line with inner whitespace could never match and is a data error."""
+    words = []
+    for lineno, line in data_lines(path):
+        word = line.strip()
+        if len(word.split()) > 1:
+            raise DataError(f"{path}:{lineno}: expected one word, got {word!r}")
+        words.append(word)
+    return words
 
 
 def _cmd_stats(args) -> None:

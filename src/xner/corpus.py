@@ -33,8 +33,6 @@ ABBREVIATIONS = frozenset({
     "sept.", "oct.", "nov.", "dec.",
 })
 
-# A maximal run of . ! ? may end a sentence.
-_TERMINAL_RUN = re.compile("[.!?]+")
 # A JSON \u escape or a non-UTF-8 file name can decode to these; no UTF-8 output holds them.
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -106,53 +104,27 @@ def _split_chunk(chunk: str, out: list[str]) -> None:
     out.extend(chunk[trail_start:])
 
 
-def split_sentences(paragraph: str) -> list[str]:
-    """Split a paragraph into sentence strings.
-
-    A run of . ! ? ends a sentence when followed by whitespace plus an
-    uppercase letter, or by the end of the paragraph; a '.' directly after
-    a known abbreviation never splits.
-    """
-    sentences: list[str] = []
-    start = 0
-    for run in _TERMINAL_RUN.finditer(paragraph):
-        i, j = run.span()
-        if _is_boundary(paragraph, i, j):
-            piece = paragraph[start:j].strip()
-            if piece:
-                sentences.append(piece)
-            start = j
-    tail = paragraph[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
-
-
-def _is_boundary(paragraph: str, term_start: int, term_end: int) -> bool:
-    if paragraph[term_start] == ".":
-        w = term_start
-        while w > 0 and not paragraph[w - 1].isspace():
-            w -= 1
-        if paragraph[w:term_start + 1].lower() in ABBREVIATIONS:
-            return False
-    if term_end >= len(paragraph):
-        return True
-    if not paragraph[term_end].isspace():
-        return False
-    k = term_end
-    while k < len(paragraph) and paragraph[k].isspace():
-        k += 1
-    return k < len(paragraph) and paragraph[k].isupper()
-
-
 def _sentence_tokens(document: Document) -> list[list[str]]:
-    """The tokens of each non-empty sentence of the document, in order."""
+    """The tokens of each sentence of the document, in order.
+
+    A whitespace chunk of a paragraph ends a sentence when it ends in . ! or ?,
+    it is the paragraph's last chunk or the next one starts with an uppercase
+    letter, and its trailing run of . ! ? does not start with the '.' of a
+    known abbreviation (the chunk up to that '.', lowercased).
+    """
     sentences = []
     for paragraph in document.paragraphs:
-        for piece in split_sentences(paragraph):
-            tokens = split_text(piece)
-            if tokens:
-                sentences.append(tokens)
+        chunks = paragraph.split()
+        last = len(chunks) - 1
+        start = 0
+        for i, chunk in enumerate(chunks):
+            if chunk[-1] in ".!?" and (i == last or chunks[i + 1][0].isupper()):
+                run_start = len(chunk.rstrip(".!?"))
+                if chunk[run_start] != "." or chunk[:run_start + 1].lower() not in ABBREVIATIONS:
+                    sentences.append(split_text(" ".join(chunks[start:i + 1])))
+                    start = i + 1
+        if start <= last:
+            sentences.append(split_text(" ".join(chunks[start:])))
     return sentences
 
 

@@ -377,6 +377,30 @@ class TestExtract:
             "Critics praised Kid A widely .\n"
         )
 
+    @pytest.mark.parametrize("text,line,got", [
+        ("band\nband album\n", 2, "'band album'"),
+        # The gazetteer TSV given by mistake.
+        ("Nirvana\tband\n", 1, "'Nirvana\\tband'"),
+    ], ids=["two-words", "gazetteer-tsv"])
+    def test_word_list_line_with_inner_whitespace_is_data_error(
+        self, capsys, tmp_path, music_corpus, gazetteer_file, text, line, got
+    ):
+        # Such a line can never match a type or a token, so it would
+        # silently select nothing.
+        words = tmp_path / "words.txt"
+        words.write_text(text)
+        out_path = tmp_path / "task.txt"
+        for argv in (
+            ["extract", "--level", "task", "--input", str(music_corpus),
+             "--gazetteer", str(gazetteer_file), "--specialized", str(words),
+             "--output", str(out_path), "--workers", "1"],
+            ["overlap", "--inputs", f"a={music_corpus}", "--stopwords", str(words)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"xner: data error: {words}:{line}: expected one word, got {got}\n"
+        assert not out_path.exists()
+
 
     @staticmethod
     def _extract_entity(capsys, out_path, corpus, gazetteer, *extra):

@@ -13,7 +13,6 @@ from xner.corpus import (
     document_stats,
     load_corpus,
     segment,
-    split_sentences,
     split_text,
 )
 from xner.errors import DataError
@@ -23,12 +22,13 @@ from xner.pipelines import stats_documents
 # evenly from three pools: words (plain, upper-case and non-ASCII letters,
 # İ lowercasing to two code points, clitics in both cases, abbreviations),
 # punctuation (every peeled mark, terminal runs) and whitespace (including
-# the non-ASCII kinds str.split() honours).
+# the control and non-ASCII kinds str.split() honours).
 _WORDS = list("abzAQZ09") + [
-    "İ", "é", "ß", "Ω", "ǅ", "'s", "n't", "'S", "N'T", "Dr.", "e.g.", "U.S.", "etc.",
+    "İ", "É", "é", "ß", "Ω", "ǅ", "'s", "n't", "'S", "N'T", "Dr.", "e.g.", "U.S.", "etc.",
+    "approx.",
 ]
-_PUNCT = sorted(SPLIT_PUNCT) + ["...", "?!", "!."]
-_SPACES = [" ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u2028"]
+_PUNCT = sorted(SPLIT_PUNCT) + ["...", "?!", "!.", ".?"]
+_SPACES = [" ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u2028", "\x1c", "\x85"]
 _fragment = st.one_of(*(st.sampled_from(pool) for pool in (_WORDS, _PUNCT, _SPACES)))
 _text = st.lists(_fragment, max_size=40).map("".join)
 
@@ -90,15 +90,25 @@ class TestSegment:
         assert [s.tokens for s in sentences] == [("A", "b", "c")]
 
     def test_abbreviation_not_split(self):
-        assert split_sentences("Dr. Smith arrived. He left.") == [
-            "Dr. Smith arrived.",
-            "He left.",
+        sentences = segment(Document("d", ("Dr. Smith arrived. He left.",)))
+        assert [s.tokens for s in sentences] == [
+            ("Dr", ".", "Smith", "arrived", "."),
+            ("He", "left", "."),
         ]
 
     def test_lowercase_continuation_not_split(self):
-        assert split_sentences("version 2.0 shipped. next week") == [
-            "version 2.0 shipped. next week"
+        sentences = segment(Document("d", ("version 2.0 shipped. next week",)))
+        assert [s.tokens for s in sentences] == [
+            ("version", "2.0", "shipped", ".", "next", "week"),
         ]
+
+    def test_split_and_isspace_agree_on_every_code_point(self):
+        # The sentence rule reads whitespace chunks from str.split() where the
+        # reference segmenter walks characters with str.isspace(); they agree
+        # only while both use the same whitespace set.
+        for code in range(0x110000):
+            c = chr(code)
+            assert (("a" + c + "a").split() == ["a", "a"]) == c.isspace(), hex(code)
 
     def test_indices_dense_and_doc_id_set(self):
         sentences = segment(Document("doc9", ("One. Two.", "Three.")))
@@ -124,11 +134,12 @@ class TestSegment:
     @settings(max_examples=500)
     @given(st.lists(_text, max_size=4))
     @example(["Ask Dr.! Then etc.. Go? No."])
+    @example(["He met the Dr.", "Ask approx."])  # an abbreviation as the last chunk
+    @example(["Then ... Go? ?! Now"])  # chunks of terminal marks only
+    @example(["It rained! \t", "Stop.\u3000"])  # whitespace after the last run
+    @example(["Ask. \u01c5ebra. Go"])  # titlecase after a run is not isupper
     def test_matches_reference_segmenter(self, paragraphs):
         doc = Document("d", tuple(paragraphs))
-        assert split_sentences("".join(paragraphs)) == ref_tokenizer.split_sentences(
-            "".join(paragraphs)
-        )
         sentences = segment(doc)
         assert [(s.index, s.tokens) for s in sentences] == ref_tokenizer.segment(
             paragraphs

@@ -75,6 +75,7 @@ FILES = {
              "Kid\tmiscellaneous\nObama\tperson\nObama\tpolitician\nObama's speech\tevent\n",
     "h.tsv": "musicalartist\tperson\npolitician\tperson\n",
     "s.txt": "band\nalbum\n",
+    "s_row.txt": "band album\n",
     "m.jsonl": '{"doc_id": "corpus-000000", "sentence_index": 0, "start": 4, "end": 5, '
                '"type": "band"}\n',
     "stop.txt": "the\nin\n",
@@ -150,6 +151,7 @@ CALLS = [
     (2, ["mask", "--input", ".", "--workers", "1", "--output", "out"]),  # a directory
     (2, [*_PRE_ANNOTATE, "--gazetteer", "g.tsv", "--output", "missing/out"]),
     (2, [*_PRE_ANNOTATE, "--gazetteer", "g.tsv", "--output", "missing/"]),
+    (2, [*_EXTRACT, "--level", "task", "--gazetteer", "g.tsv", "--specialized", "s_row.txt"]),
     (2, [*_PRE_ANNOTATE, "--gazetteer", "g.tsv", "--hierarchy", "h_row.tsv"]),
     (2, [*_PRE_ANNOTATE, "--gazetteer", "g.tsv", "--hierarchy", "h_cycle.tsv"]),
     (2, [*_PRE_ANNOTATE, "--gazetteer", "g_row.tsv"]),
