@@ -17,6 +17,7 @@ import math
 import os
 import stat
 import sys
+import tempfile
 from contextlib import contextmanager, nullcontext
 from itertools import count
 from pathlib import Path
@@ -29,6 +30,7 @@ from xner.masker import MaskingConfig, build_vocabulary
 from xner.nerdata import dataset_stats, iter_conll, parse_conll
 from xner.pipelines import (
     LEVELS,
+    replay,
     select_documents,
     stats_documents,
     write_groups,
@@ -238,7 +240,7 @@ def _cmd_extract(args) -> None:
         # The parser gives exactly one of --gazetteer and --mentions.
         gazetteer = load_gazetteer(args.gazetteer, parent_of) if args.mentions is None else None
         mentions = load_external_mentions(args.mentions) if args.mentions is not None else None
-        groups = select_documents(
+        pairs = select_documents(
             load_corpus(args.input, args.format),
             args.level,
             gazetteer,
@@ -249,7 +251,7 @@ def _cmd_extract(args) -> None:
             seed=args.seed,
             workers=args.workers,
         )
-        sentences, tokens = write_groups(groups, fh)
+        sentences, tokens = write_groups(pairs, fh, args.upsample)
     _log(f"wrote {sentences} sentences to {args.output}")
     _emit({"level": args.level, "sentences": sentences, "tokens": tokens})
 
@@ -342,20 +344,16 @@ def _cmd_subsample(args) -> None:
 def _cmd_joint(args) -> None:
     """The source's sentences as they stream in, then the target's
     --multiplier times, each as its lines then one blank line. The target
-    is read, and so checked, before any output is written."""
-    source = 0
-    with _output(args.output) as fh:
-        target = [s.lines + "\n" for s in iter_conll(args.target)]
+    is read, and so checked, into a spool before any output is written."""
+    source = target = 0
+    with _output(args.output) as fh, tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        for target, s in enumerate(iter_conll(args.target), 1):
+            spool.write(s.lines + "\n")
         for source, s in enumerate(iter_conll(args.source), 1):
             fh.write(s.lines + "\n")
-        for _ in range(args.multiplier):
-            fh.writelines(target)
-    _emit({
-        "source": source,
-        "target": len(target),
-        "multiplier": args.multiplier,
-        "total": source + len(target) * args.multiplier,
-    })
+        replay(spool, fh, args.multiplier)
+    _emit({"source": source, "target": target, "multiplier": args.multiplier,
+           "total": source + target * args.multiplier})
 
 
 _COMMANDS = {

@@ -12,6 +12,7 @@ command holds a whole corpus or a whole output.
 
 from __future__ import annotations
 
+import shutil
 import signal
 import sys
 import tempfile
@@ -148,6 +149,10 @@ def write_masked(
     return _write_texts(map_documents(worker, documents, workers), fh, 0, 0)
 
 
+def _lines(sentences: Iterable) -> str:
+    return "".join([" ".join(s.tokens) + "\n" for s in sentences])
+
+
 def _select_doc(
     doc: Document,
     level: str,
@@ -157,22 +162,19 @@ def _select_doc(
     specialized_types,
     percent: float | None,
     seed: int,
-):
-    """The document's entity lines, task lines, or both for "integrated"."""
+) -> tuple[str, str]:
+    """The document's (now, later) texts of selected sentence lines:
+    (entity, "") or (task, "") at levels "entity" and "task", and
+    (entity, task) at "integrated"."""
     sentences = segment(doc)
     if percent is not None:
         sentences = list(sample_fraction(sentences, percent, seed))
+    entity = task = ""
     if level != "task":
-        entity = [
-            " ".join(s.tokens) for s in select_entity_level(sentences, gazetteer, cfg, mentions)
-        ]
-        if level == "entity":
-            return entity
-    task = [
-        " ".join(s.tokens)
-        for s in select_task_level(sentences, gazetteer, specialized_types, cfg, mentions)
-    ]
-    return task if level == "task" else (entity, task)
+        entity = _lines(select_entity_level(sentences, gazetteer, cfg, mentions))
+    if level != "entity":
+        task = _lines(select_task_level(sentences, gazetteer, specialized_types, cfg, mentions))
+    return (task, "") if level == "task" else (entity, task)
 
 
 def select_documents(
@@ -185,15 +187,13 @@ def select_documents(
     percent: float | None = None,
     seed: int = 0,
     workers: int = 1,
-) -> Iterator[list[str]]:
-    """Selected sentence lines grouped by document, as a lazy stream.
+) -> Iterator[tuple[str, str]]:
+    """Each document's (now, later) texts of _select_doc, as a lazy stream.
 
     The CLI checks the options: a gazetteer or mentions, a level of LEVELS,
     specialized types for "task" and "integrated", and a percent in
-    [0, 100]. level "entity" or "task" yields one group per document;
-    "integrated" yields the entity groups followed by the task groups
-    repeated cfg.task_upsample times, so token counts satisfy
-    tokens(integrated) = tokens(entity) + task_upsample * tokens(task).
+    [0, 100]. write_groups(pairs, fh, cfg.task_upsample) writes the level's
+    corpus, so tokens(integrated) = tokens(entity) + task_upsample * tokens(task).
     """
     worker = partial(
         _select_doc,
@@ -205,46 +205,47 @@ def select_documents(
         percent=percent,
         seed=seed,
     )
-    results = map_documents(worker, documents, workers)
-    if level == "integrated":
-        return _integrated(results, cfg.task_upsample)
-    return results
+    return map_documents(worker, documents, workers)
 
 
-def _integrated(results: Iterator[tuple[list[str], list[str]]], replays: int):
-    """Entity groups as they arrive, then the task groups replays times,
-    spooled to an anonymous temporary file as one tab-joined line per
-    group (tokens never contain whitespace)."""
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
-        for entity, task in results:
-            yield entity
-            if task:
-                spool.write("\t".join(task))
-                spool.write("\n")
-        for _ in range(replays):
-            spool.seek(0)
-            for line in spool:
-                yield line[:-1].split("\t")
+def replay(spool, fh, times: int, between: str = "") -> None:
+    """Copy the whole text spool to fh times over, in bounded blocks,
+    writing between between one copy and the next."""
+    for copy in range(times):
+        if copy:
+            fh.write(between)
+        spool.seek(0)
+        shutil.copyfileobj(spool, fh)
 
 
-def write_groups(groups: Iterable[list[str]], fh) -> tuple[int, int]:
-    """Write sentence groups as plain text with blank lines between documents.
+def _append(text: str, out, counts: list[int]) -> None:
+    """Write text to out, after a blank line when counts shows a text
+    before it; add its sentences and spaces to counts."""
+    if counts[0]:
+        out.write("\n")
+    out.write(text)
+    counts[0] += text.count("\n")
+    counts[1] += text.count(" ")
 
-    Empty groups are skipped. Returns the number of sentences and tokens
-    written.
-    """
-    sentences = tokens = 0
-    for group in groups:
-        if not group:
-            continue
-        if sentences:
-            fh.write("\n")
-        text = "\n".join(group)
-        fh.write(text)
-        fh.write("\n")
-        sentences += len(group)
-        tokens += text.count(" ") + len(group)
-    return sentences, tokens
+
+def write_groups(pairs: Iterable[tuple[str, str]], fh, replays: int) -> tuple[int, int]:
+    """Write each document's now text as it arrives, then its later texts,
+    spooled to an anonymous temporary file, replays times over. Empty
+    texts are skipped and a blank line goes between documents. Returns
+    the number of sentences and tokens written."""
+    written, spooled = [0, 0], [0, 0]
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        for now, later in pairs:
+            if now:
+                _append(now, fh, written)
+            if later:
+                _append(later, spool, spooled)
+        if spooled[0]:
+            if written[0]:
+                fh.write("\n")
+            replay(spool, fh, replays, between="\n")
+    sentences, spaces = (w + replays * s for w, s in zip(written, spooled))
+    return sentences, sentences + spaces
 
 
 def _annotate_doc(doc: Document, gazetteer: dict) -> tuple[str, int]:

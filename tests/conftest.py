@@ -1,4 +1,5 @@
 import random
+import signal
 import sys
 from collections import Counter
 
@@ -95,6 +96,31 @@ def assert_rejected(command, flag, value):
     with pytest.raises(UsageError) as info:
         bad_flag(command, flag, value)
     assert str(info.value).startswith(f"argument {flag}: ")
+
+
+class InProcessPool:
+    """A stand-in for pipelines.ProcessPoolExecutor that runs in this
+    process: the initializer runs once, with this process's SIGINT handler
+    put back after it, and map applies its function lazily, in order."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        handler = signal.getsignal(signal.SIGINT)
+        try:
+            initializer(*initargs)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        return None
 
 
 @pytest.fixture(autouse=True)

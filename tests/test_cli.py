@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import REQUIRED_ARGS
+from conftest import REQUIRED_ARGS, InProcessPool
 from ref_conlleval import evaluate as ref_evaluate
 from ref_nerdata import build_joint, serialize_conll, subsample
 from xner import pipelines
@@ -1526,6 +1526,100 @@ def test_pooled_bytes_under_every_start_method(capsys, monkeypatch, tmp_path, me
         runs.append((out, None if name == "stats" else out_path.read_bytes()))
         out_path.unlink(missing_ok=True)
     assert runs[0] == runs[1]
+
+
+_SURFACES = {"Nirvana": "band", "Nevermind": "album", "Seattle": "location", "Kid A": "album"}
+_SENTENCE = st.lists(
+    st.sampled_from(["Nirvana", "Nevermind", "Seattle", "Kid", "A", "w", "w.", "Go"]),
+    min_size=1, max_size=6,
+).map(" ".join)
+# Documents of paragraphs of sentences; a token "w." before a capital ends one.
+_DOCUMENTS = st.lists(
+    st.lists(st.lists(_SENTENCE, min_size=1, max_size=3).map(" ".join), min_size=1, max_size=3),
+    max_size=6,
+)
+
+
+@st.composite
+def _extract_runs(draw):
+    """The files and extract flags of one run: a plain or JSONL corpus, a
+    gazetteer or a mention file over it, and the selection flags."""
+    documents = draw(_DOCUMENTS)
+    jsonl = draw(st.booleans())
+    if jsonl:
+        ids = [f"j{i}" for i in range(len(documents))]
+        corpus = "".join(
+            json.dumps({"id": i, "text": "\n".join(doc)}) + "\n" for i, doc in zip(ids, documents)
+        )
+    else:
+        ids = [f"corpus-{i:06d}" for i in range(len(documents))]
+        corpus = "\n".join("".join(p + "\n" for p in doc) for doc in documents)
+    files = {"corpus": corpus, "specialized": "band\nalbum\n"}
+    if ids and draw(st.booleans()):
+        # Each record marks a sentence's first token, so no span is past its end.
+        records = st.builds(
+            lambda doc_id, index, entity_type: json.dumps({
+                "doc_id": doc_id, "sentence_index": index, "start": 0, "end": 1,
+                "type": entity_type,
+            }),
+            st.sampled_from(ids), st.integers(0, 3), st.sampled_from(sorted({*_SURFACES.values()})),
+        )
+        files["mentions"] = "".join(r + "\n" for r in draw(st.lists(records, max_size=12)))
+    else:
+        files["gazetteer"] = "".join(f"{k}\t{v}\n" for k, v in _SURFACES.items())
+    flags = [
+        "--format", "jsonl" if jsonl else "plain",
+        "--level", draw(st.sampled_from(["entity", "task", "integrated"])),
+        "--min-mentions", str(draw(st.integers(1, 2))),
+        "--upsample", str(draw(st.integers(1, 3))),
+        "--seed", str(draw(st.integers(0, 9))),
+    ]
+    if draw(st.booleans()):
+        flags += ["--percent", str(draw(st.integers(0, 100)))]
+    return files, flags
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(
+    run_args=_extract_runs(), workers=st.integers(2, 4),
+    chunk_chars=st.integers(1, 64), window_chunks=st.integers(1, 3),
+)
+def test_extract_bytes_do_not_depend_on_workers(run_args, workers, chunk_chars, window_chunks):
+    # The pool runs in this process, so the chunks and windows of every
+    # drawn size cost no process start. An integrated corpus is also the
+    # entity corpus, then the task corpus --upsample times.
+    files, flags = run_args
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipelines, "CHUNK_CHARS", chunk_chars)
+        patch.setattr(pipelines, "WINDOW_CHUNKS", window_chunks)
+        patch.setattr(pipelines, "ProcessPoolExecutor", InProcessPool, raising=False)
+        paths = {name: os.path.join(tmp, name) for name in files}
+        for name, text in files.items():
+            Path(paths[name]).write_text(text, encoding="utf-8")
+        source = "mentions" if "mentions" in files else "gazetteer"
+        output = os.path.join(tmp, "out")
+
+        def extract(*extra):
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = run([
+                    "extract", "--input", paths["corpus"], f"--{source}", paths[source],
+                    "--specialized", paths["specialized"], "--output", output, *flags, *extra,
+                ])
+            assert code == 0
+            return json.loads(stdout.getvalue()), Path(output).read_text(encoding="utf-8")
+
+        one = extract("--workers", "1")
+        assert extract("--workers", str(workers)) == one
+        if one[0]["level"] == "integrated":
+            (entity, entity_text), (task, task_text) = (
+                extract("--workers", "1", "--level", level) for level in ("entity", "task")
+            )
+            upsample = int(flags[flags.index("--upsample") + 1])
+            assert one[1] == "\n".join(t for t in [entity_text] + [task_text] * upsample if t)
+            assert [one[0][k] for k in ("sentences", "tokens")] == [
+                entity[k] + upsample * task[k] for k in ("sentences", "tokens")
+            ]
 
 
 @pytest.fixture

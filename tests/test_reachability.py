@@ -125,6 +125,11 @@ CALLS = [
     (0, ["stats", "--input", "one.txt", "--workers", "2"]),  # one document: never a pool
     (0, [*_EXTRACT, "--level", "integrated", "--gazetteer", "g.tsv", "--hierarchy", "h.tsv",
          "--specialized", "s.txt", "--percent", "90"]),
+    # No task sentence, so an empty spool; then no entity sentence, so the
+    # first write is a replay.
+    (0, [*_EXTRACT, "--level", "integrated", "--gazetteer", "g.tsv", "--specialized", "stop.txt"]),
+    (0, [*_EXTRACT, "--level", "integrated", "--gazetteer", "g.tsv", "--specialized", "s.txt",
+         "--min-mentions", "99"]),
     (0, [*_MENTIONS, "m.jsonl"]),
     (0, ["mask", "--input", "mask.txt", "--workers", "1", "--strategy", "span",
          "--rate", "0.4", "--seed", "12", "--min-len", "3", "--output", "out"]),
@@ -135,7 +140,7 @@ CALLS = [
     (0, ["overlap", "--inputs", "a=corpus.txt", "--stopwords", "stop.txt"]),
     (0, ["subsample", "--input", "gold.conll", "--n", "1", "--output", "out"]),
     (0, ["subsample", "--input", "gold.conll", "--n", "0", "--output", "out"]),
-    (0, ["joint", "--source", "gold.conll", "--target", "gold.conll", "--output", "out"]),
+    (0, ["joint", "--source", "gold.conll", "--target", "gold.conll", "--output", "out"]),  # spooled
     # Usage errors: a flag the parser rejects, or a combination it cannot see.
     (1, ["mask", "--input", "mask.txt", "--rate", "2", "--output", "out"]),
     (1, [*_EVAL, "pred.conll", "--misclassify", "band"]),

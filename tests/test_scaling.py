@@ -4,15 +4,24 @@ Runs xner in a subprocess on two seeded corpora over a fixed vocabulary,
 about 200K and 800K tokens, and compares the peak resident set size that
 os.wait4 reports for each run, pool workers included: `mask` at one
 worker, and `mask` and integrated `extract` with a pool of two.
+
+Runs `joint` and integrated `extract` in this process at one worker, on
+inputs of N and 4N sentences whose vocabulary grows with their length,
+and compares the tracemalloc peak of each run.
 """
 
+import io
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from xner.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORDS = [f"w{i}" for i in range(500)]
@@ -91,3 +100,73 @@ def test_pooled_peak_rss_does_not_grow_with_corpus(tmp_path, command):
     }[command]
     peaks = _peaks(tmp_path, args, workers=2)
     assert peaks[800_000] <= 1.2 * peaks[200_000], peaks
+
+
+def _growing_sentences(count: int, seed: int):
+    """count token lists of 8 to 16 words. Half of the words come from a
+    fixed 500, the rest from the first 500 + 2i words at the i-th list, so
+    the vocabulary grows with the input, as in real text."""
+    rng = random.Random(seed)
+    for i in range(count):
+        bounds = rng.choices((500, 500 + 2 * i), k=rng.randint(8, 16))
+        yield [f"w{rng.randrange(bound)}" for bound in bounds]
+
+
+def _write_growing_conll(path: Path, sentences: int) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for tokens in _growing_sentences(sentences, seed=sentences):
+            fh.writelines(f"{t} {'B-band' if t.endswith('7') else 'O'}\n" for t in tokens)
+            fh.write("\n")
+
+
+def _write_growing_corpus(path: Path, sentences: int) -> None:
+    """Documents of 10 one-sentence paragraphs."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, tokens in enumerate(_growing_sentences(sentences, seed=sentences), 1):
+            fh.write(f"Word {' '.join(tokens)}.\n")
+            if i % 10 == 0:
+                fh.write("\n")
+
+
+def _traced_peak(argv: list[str]) -> int:
+    """The tracemalloc peak, in bytes, of one in-process run of argv."""
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# (command, sentences N, input writer, argv given the input path)
+_FLAT = {
+    "joint": (2_000, _write_growing_conll, lambda path: [
+        "joint", "--source", str(path), "--target", str(path), "--multiplier", "3",
+    ]),
+    # At N its task text already fills several of the spool copy's blocks.
+    "extract": (5_000, _write_growing_corpus, lambda path: [
+        "extract", "--level", "integrated", "--input", str(path), "--workers", "1",
+        *_gazetteer_args(path.parent),
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", _FLAT)
+def test_traced_peak_does_not_grow_with_input(tmp_path, command):
+    # joint spools its target and extract its task text, so neither holds
+    # what it replays. A first run on a tiny input loads what runs load
+    # once, so that the N run's peak is the run's own. joint's reader
+    # interns every token, and CPython's table of interned strings is the
+    # whole process's: it is resized at points that depend on everything
+    # the process has interned, and Python 3.12 never frees an interned
+    # string. So the words are interned here first, and the reader finds
+    # each one already in the table.
+    sentences, write, argv = _FLAT[command]
+    words = [sys.intern(f"w{i}") for i in range(500 + 8 * sentences)]  # noqa: F841
+    peaks = {}
+    for n in (10, sentences, 4 * sentences):
+        path = tmp_path / f"in-{n}.txt"
+        write(path, n)
+        peaks[n] = _traced_peak([*argv(path), "--output", str(tmp_path / "out")])
+    assert peaks[4 * sentences] <= 1.1 * peaks[sentences], peaks

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,7 @@ from xner.cli import run
 from xner.corpus import Document
 from xner.errors import DataError
 from xner.gazetteer import EntityMention
-from xner.pipelines import select_documents
+from xner.pipelines import select_documents, write_groups
 from xner.seeding import unit_interval
 from xner.selector import (
     SelectorConfig,
@@ -213,8 +215,8 @@ class TestTaskLevel:
 
 
 class TestBuildIntegrated:
-    """The integrated level of select_documents: entity groups, then task
-    groups cfg.task_upsample times."""
+    """The integrated corpus that write_groups makes from select_documents:
+    entity groups, then task groups cfg.task_upsample times."""
 
     @staticmethod
     def _integrated(entity_lengths, task_lengths, cfg=SelectorConfig()):
@@ -228,13 +230,12 @@ class TestBuildIntegrated:
             Document(f"t{i}", (" ".join(["T"] + ["w"] * (n - 1)),))
             for i, n in enumerate(task_lengths)
         ]
-        return [
-            line
-            for group in select_documents(
-                docs, "integrated", g, cfg, specialized_types={"special"}
-            )
-            for line in group
-        ]
+        out = io.StringIO()
+        pairs = select_documents(docs, "integrated", g, cfg, specialized_types={"special"})
+        sentences, tokens = write_groups(pairs, out, cfg.task_upsample)
+        lines = [line for line in out.getvalue().splitlines() if line]
+        assert (sentences, tokens) == (len(lines), sum(len(line.split()) for line in lines))
+        return lines
 
     def test_token_identity(self):
         out = self._integrated([10] * 10, [10] * 3)
@@ -354,6 +355,11 @@ def _groups_or_error(select):
         return str(exc)
 
 
+def _written(groups):
+    """The text write_groups writes for the oracle's groups."""
+    return "\n".join("".join(line + "\n" for line in group) for group in groups if group)
+
+
 @pytest.mark.parametrize("level", ["entity", "task", "integrated"])
 @settings(max_examples=150, deadline=None)
 @given(inputs=_selection_inputs())
@@ -362,8 +368,23 @@ def test_select_documents_matches_two_pass_oracle(level, inputs):
     kwargs = dict(
         mentions=mentions, specialized_types=specialized, percent=percent, seed=seed
     )
-    assert _groups_or_error(
-        lambda: select_documents(documents, level, gazetteer, cfg, **kwargs)
-    ) == _groups_or_error(
+
+    def select():
+        # The oracle's groups: every now text, then the later ones
+        # cfg.task_upsample times (a later text is "" below "integrated").
+        pairs = list(select_documents(documents, level, gazetteer, cfg, **kwargs))
+        later = [text.splitlines() for _, text in pairs if text]
+        return [text.splitlines() for text, _ in pairs] + later * cfg.task_upsample
+
+    expected = _groups_or_error(
         lambda: ref_selector.select_groups(documents, level, gazetteer, cfg, **kwargs)
     )
+    assert _groups_or_error(select) == expected
+    if not isinstance(expected, str):
+        out = io.StringIO()
+        pairs = select_documents(documents, level, gazetteer, cfg, **kwargs)
+        sentences, tokens = write_groups(pairs, out, cfg.task_upsample)
+        assert out.getvalue() == _written(expected)
+        assert (sentences, tokens) == (
+            sum(map(len, expected)), sum(len(line.split()) for g in expected for line in g)
+        )
