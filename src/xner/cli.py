@@ -244,7 +244,7 @@ def _cmd_extract(args) -> None:
             load_corpus(args.input, args.format),
             args.level,
             gazetteer,
-            SelectorConfig(args.min_mentions, args.min_specialized, args.upsample),
+            SelectorConfig(args.min_mentions, args.min_specialized),
             mentions=mentions,
             specialized_types=specialized,
             percent=args.percent,

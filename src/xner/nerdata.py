@@ -59,7 +59,7 @@ class ConllSentence(NamedTuple):
     lines: str  # the sentence's lines as read, each ending in "\n"
 
 
-def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
+def iter_conll(path, strict: bool = True, interned: bool = False) -> Iterator[ConllSentence]:
     """Read a CoNLL file lazily, one sentence at a time.
 
     The token is a line's first column and the tag its last, so the
@@ -69,9 +69,10 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
     entity_spans chunks as conlleval does. A line with one field or a bad
     tag raises DataError("path:line: ...").
 
-    With strict=True, tokens and tags are interned as they are read, so
-    equal strings are one object across sentences and files; the lenient
-    read's sentences are scored and dropped, so it does not intern. The
+    With interned=True, tokens and tags are interned as they are read, so
+    equal strings are one object across sentences and files. Only
+    parse_conll keeps its sentences, and so asks: interning what a stream
+    drops grows CPython's process-wide table of interned strings. The
     tuples are built from sized lists, so a kept tuple has no spare slots.
 
     Each sentence's lines field is its token lines exactly as read, every
@@ -91,8 +92,8 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
             if len(parts) > 1 and parts[0] != "-DOCSTART-":
                 if not tokens:
                     start = lineno
-                tokens.append(intern(parts[0]) if strict else parts[0])
-                tags.append(intern(parts[-1]) if strict else parts[-1])
+                tokens.append(intern(parts[0]) if interned else parts[0])
+                tags.append(intern(parts[-1]) if interned else parts[-1])
                 lines.append(line)
             elif parts and parts[0] != "-DOCSTART-":
                 raise DataError(f"{path}:{lineno}: expected 'token ... tag', got {parts[0]!r}")
@@ -117,11 +118,12 @@ def iter_conll(path, strict: bool = True) -> Iterator[ConllSentence]:
 
 
 def parse_conll(path) -> list[LabeledSentence]:
-    """Every sentence of iter_conll(path, strict=True) as a LabeledSentence.
+    """Every sentence of iter_conll(path, interned=True) as a LabeledSentence.
     The reader's interned, exact-size tuples are kept as they are, and
     equal tag sequences are shared as one tuple."""
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-    return [LabeledSentence(s.tokens, shared.setdefault(s.tags, s.tags)) for s in iter_conll(path)]
+    sentences = iter_conll(path, interned=True)
+    return [LabeledSentence(s.tokens, shared.setdefault(s.tags, s.tags)) for s in sentences]
 
 
 def entity_spans(tags: Sequence[str]) -> dict[tuple[int, int], str]:

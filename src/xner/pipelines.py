@@ -192,8 +192,8 @@ def select_documents(
 
     The CLI checks the options: a gazetteer or mentions, a level of LEVELS,
     specialized types for "task" and "integrated", and a percent in
-    [0, 100]. write_groups(pairs, fh, cfg.task_upsample) writes the level's
-    corpus, so tokens(integrated) = tokens(entity) + task_upsample * tokens(task).
+    [0, 100]. write_groups(pairs, fh, upsample) writes the level's corpus,
+    so tokens(integrated) = tokens(entity) + upsample * tokens(task).
     """
     worker = partial(
         _select_doc,
@@ -229,12 +229,12 @@ def _append(text: str, out, counts: list[int]) -> None:
 
 
 def write_groups(pairs: Iterable[tuple[str, str]], fh, replays: int) -> tuple[int, int]:
-    """Write each document's now text as it arrives, then its later texts,
-    spooled to an anonymous temporary file, replays times over. Empty
-    texts are skipped and a blank line goes between documents. Returns
-    the number of sentences and tokens written."""
+    """Write each document's now text as it arrives, then its later texts
+    replays times over, from a spool that makes its anonymous file at its
+    first write. Empty texts are skipped and a blank line goes between
+    documents. Returns the number of sentences and tokens written."""
     written, spooled = [0, 0], [0, 0]
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+    with tempfile.SpooledTemporaryFile(max_size=1, mode="w+", encoding="utf-8") as spool:
         for now, later in pairs:
             if now:
                 _append(now, fh, written)

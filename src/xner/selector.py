@@ -22,9 +22,7 @@ from xner.seeding import unit_interval
 MentionIndex = Mapping[tuple[str, int], Mapping[EntityMention, str]]
 
 
-SelectorConfig = namedtuple(
-    "SelectorConfig", "min_mentions min_specialized task_upsample", defaults=(2, 1, 2)
-)
+SelectorConfig = namedtuple("SelectorConfig", "min_mentions min_specialized", defaults=(2, 1))
 
 
 def _sentence_mentions(

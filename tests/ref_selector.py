@@ -45,11 +45,12 @@ def select_task_level(corpus, gazetteer, specialized_types, cfg, mentions=None):
 
 
 def select_groups(
-    documents, level, gazetteer, cfg, mentions=None, specialized_types=(), percent=None, seed=0
+    documents, level, gazetteer, cfg, upsample, mentions=None, specialized_types=(),
+    percent=None, seed=0,
 ):
     """select_documents' groups as a list: one group of sentence lines per
     document for "entity" and "task"; for "integrated", every entity group,
-    then the non-empty task groups cfg.task_upsample times."""
+    then the non-empty task groups upsample times."""
     specialized_types = frozenset(specialized_types)
     entity_groups, task_groups = [], []
     for document in documents:
@@ -72,4 +73,4 @@ def select_groups(
         return entity_groups
     if level == "task":
         return task_groups
-    return entity_groups + [group for group in task_groups if group] * cfg.task_upsample
+    return entity_groups + [group for group in task_groups if group] * upsample

@@ -511,6 +511,20 @@ def test_gazetteer_golden_bytes(capsys, tmp_path, name, workers):
     assert out_path.read_bytes() == (DATA_DIR / f"extract_corpus.{name}").read_bytes()
 
 
+def test_only_a_replayed_level_makes_a_spool_file(capsys, monkeypatch, tmp_path):
+    # With no temporary directory to make a file in, the entity and task
+    # levels, which spool nothing, still run; integrated cannot spool.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    for level, code in [("entity", 0), ("task", 0), ("integrated", 2)]:
+        argv, _ = GAZETTEER_GOLDENS[f"{level}.txt"]
+        out_path = tmp_path / level
+        assert run_cli(
+            capsys, *argv, "--input", str(DATA_DIR / "extract_corpus.txt"),
+            "--output", str(out_path), "--workers", "1",
+        )[0] == code
+        assert out_path.exists() == (code == 0)
+
+
 _OVERLAP_INPUTS = [
     "overlap", "--inputs", f"music={DATA_DIR / 'extract_corpus.txt'}",
     f"mask={DATA_DIR / 'mask_corpus.txt'}", f"écologie={DATA_DIR / 'overlap_corpus.txt'}",

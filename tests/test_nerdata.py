@@ -268,21 +268,23 @@ class TestParseConllInterning:
         assert first.tags is third.tags
         assert second.tags == ("B-band", "O")
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_reader_interns_across_sentences_and_files(self, tmp_path, strict):
+    @pytest.mark.parametrize("interned", [True, False])
+    def test_reader_interns_across_sentences_and_files(self, tmp_path, interned):
         one = tmp_path / "one.conll"
         two = tmp_path / "two.conll"
         one.write_text("Kurt B-person\nCobain I-person\nsang O\n\nCobain B-person\nwrote O\n")
         two.write_text("Cobain\tB-person\nsang\tO\n")
-        (a, b), (c,) = list(iter_conll(one, strict)), list(iter_conll(two, strict))
-        if strict:
+        (a, b), (c,) = [list(iter_conll(f, interned=interned)) for f in (one, two)]
+        if interned:
             assert a.tokens[1] is b.tokens[0] is c.tokens[0]
             assert a.tokens[2] is c.tokens[1]
             assert a.tags[0] is b.tags[0] is c.tags[0]
             assert a.tags[1] is sys.intern("".join(["I-", "person"]))
         else:
-            # The lenient read's sentences are scored and dropped, so it
-            # does not intern; its strings are equal, not shared.
+            # Only parse_conll, which keeps its sentences, asks to intern.
+            # A streaming read's strings are equal, not shared.
+            assert a.tokens[1] is not b.tokens[0]
+            assert a.tags[1] is not sys.intern("I-person")
             assert a.tokens[1] == b.tokens[0] == c.tokens[0] == "Cobain"
             assert a.tokens[2] == c.tokens[1] == "sang"
             assert a.tags[0] == b.tags[0] == c.tags[0] == "B-person"

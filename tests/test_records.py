@@ -47,7 +47,7 @@ def test_fields_and_defaults():
     assert MaskingConfig._fields == ("mask_rate", "strategy", "seed", "min_sentence_len")
     assert MaskingConfig() == (0.15, "token", 0, 5)
     assert MaskingConfig(strategy="span", seed=3).seed == 3
-    assert SelectorConfig() == (2, 1, 2)
+    assert SelectorConfig() == (2, 1)
     assert _example(0, 2).targets[1] == MaskTarget(2, "w", "keep")
 
 

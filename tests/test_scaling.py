@@ -156,14 +156,8 @@ _FLAT = {
 def test_traced_peak_does_not_grow_with_input(tmp_path, command):
     # joint spools its target and extract its task text, so neither holds
     # what it replays. A first run on a tiny input loads what runs load
-    # once, so that the N run's peak is the run's own. joint's reader
-    # interns every token, and CPython's table of interned strings is the
-    # whole process's: it is resized at points that depend on everything
-    # the process has interned, and Python 3.12 never frees an interned
-    # string. So the words are interned here first, and the reader finds
-    # each one already in the table.
+    # once, so that the N run's peak is the run's own.
     sentences, write, argv = _FLAT[command]
-    words = [sys.intern(f"w{i}") for i in range(500 + 8 * sentences)]  # noqa: F841
     peaks = {}
     for n in (10, sentences, 4 * sentences):
         path = tmp_path / f"in-{n}.txt"

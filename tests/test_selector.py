@@ -37,7 +37,7 @@ SPECIALIZED = frozenset({"band", "album"})
 class TestSelectorConfig:
     def test_defaults(self):
         cfg = SelectorConfig()
-        assert (cfg.min_mentions, cfg.min_specialized, cfg.task_upsample) == (2, 1, 2)
+        assert (cfg.min_mentions, cfg.min_specialized) == (2, 1)
 
     @pytest.mark.parametrize("kwargs", [
         {"--min-mentions": "0"}, {"--min-specialized": "0"}, {"--upsample": "0"},
@@ -216,10 +216,10 @@ class TestTaskLevel:
 
 class TestBuildIntegrated:
     """The integrated corpus that write_groups makes from select_documents:
-    entity groups, then task groups cfg.task_upsample times."""
+    entity groups, then task groups upsample times."""
 
     @staticmethod
-    def _integrated(entity_lengths, task_lengths, cfg=SelectorConfig()):
+    def _integrated(entity_lengths, task_lengths, upsample=2):
         # One sentence per document, of the given token lengths: two "E"
         # mentions make it entity-level only, one "T" makes it task-level only.
         g = make_trie({("E",): {"plain"}, ("T",): {"special"}})
@@ -231,8 +231,8 @@ class TestBuildIntegrated:
             for i, n in enumerate(task_lengths)
         ]
         out = io.StringIO()
-        pairs = select_documents(docs, "integrated", g, cfg, specialized_types={"special"})
-        sentences, tokens = write_groups(pairs, out, cfg.task_upsample)
+        pairs = select_documents(docs, "integrated", g, specialized_types={"special"})
+        sentences, tokens = write_groups(pairs, out, upsample)
         lines = [line for line in out.getvalue().splitlines() if line]
         assert (sentences, tokens) == (len(lines), sum(len(line.split()) for line in lines))
         return lines
@@ -247,7 +247,7 @@ class TestBuildIntegrated:
         assert out == ["E E"] * 4
 
     def test_upsample_factor(self):
-        out = self._integrated([], [1], SelectorConfig(task_upsample=5))
+        out = self._integrated([], [1], upsample=5)
         assert out == ["T"] * 5
 
     def test_identity_on_random_corpora(self, rng):
@@ -255,7 +255,7 @@ class TestBuildIntegrated:
             entity = [rng.randint(2, 20) for _ in range(rng.randint(0, 30))]
             task = [rng.randint(1, 20) for _ in range(rng.randint(0, 10))]
             upsample = rng.randint(1, 4)
-            out = self._integrated(entity, task, SelectorConfig(task_upsample=upsample))
+            out = self._integrated(entity, task, upsample)
             assert sum(len(line.split()) for line in out) == (
                 sum(entity) + upsample * sum(task)
             )
@@ -340,12 +340,12 @@ def _selection_inputs(draw):
             key: {m: f"m.jsonl:{line}" for line, m in enumerate(found, 1)}
             for key, found in index.items()
         }
-    cfg = SelectorConfig(
-        draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    )
+    cfg = SelectorConfig(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    upsample = draw(st.integers(1, 3))
     specialized = draw(st.frozensets(st.sampled_from(_TYPES)))
     percent = draw(st.one_of(st.none(), st.floats(0, 100)))
-    return documents, gazetteer, mentions, cfg, specialized, percent, draw(st.integers(0, 9))
+    seed = draw(st.integers(0, 9))
+    return documents, gazetteer, mentions, cfg, upsample, specialized, percent, seed
 
 
 def _groups_or_error(select):
@@ -364,26 +364,26 @@ def _written(groups):
 @settings(max_examples=150, deadline=None)
 @given(inputs=_selection_inputs())
 def test_select_documents_matches_two_pass_oracle(level, inputs):
-    documents, gazetteer, mentions, cfg, specialized, percent, seed = inputs
+    documents, gazetteer, mentions, cfg, upsample, specialized, percent, seed = inputs
     kwargs = dict(
         mentions=mentions, specialized_types=specialized, percent=percent, seed=seed
     )
 
     def select():
         # The oracle's groups: every now text, then the later ones
-        # cfg.task_upsample times (a later text is "" below "integrated").
+        # upsample times (a later text is "" below "integrated").
         pairs = list(select_documents(documents, level, gazetteer, cfg, **kwargs))
         later = [text.splitlines() for _, text in pairs if text]
-        return [text.splitlines() for text, _ in pairs] + later * cfg.task_upsample
+        return [text.splitlines() for text, _ in pairs] + later * upsample
 
     expected = _groups_or_error(
-        lambda: ref_selector.select_groups(documents, level, gazetteer, cfg, **kwargs)
+        lambda: ref_selector.select_groups(documents, level, gazetteer, cfg, upsample, **kwargs)
     )
     assert _groups_or_error(select) == expected
     if not isinstance(expected, str):
         out = io.StringIO()
         pairs = select_documents(documents, level, gazetteer, cfg, **kwargs)
-        sentences, tokens = write_groups(pairs, out, cfg.task_upsample)
+        sentences, tokens = write_groups(pairs, out, upsample)
         assert out.getvalue() == _written(expected)
         assert (sentences, tokens) == (
             sum(map(len, expected)), sum(len(line.split()) for g in expected for line in g)
